@@ -8,8 +8,12 @@ integer coordinates are exactly the members of Z[zeta_n] (for prime-power
 n this ring is the full ring of integers; for other n the predicate means
 membership in Z[zeta_n], nothing more).
 
+Nothing divides polynomials over Q: the trace reads a table of Ramanujan
+sums, and the inverse is an integer conjugate product over the norm.
+
 Everything is immutable and every operation is a pure function; the only
-shared state is the per-conductor reduction table, an idempotent cache.
+shared state is the per-conductor reduction and trace tables, idempotent
+caches.
 
 >>> z = CycElt.zeta(5)
 >>> (1 + z) * (1 + z**4)
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
-from .ntheory import divisors, is_prime, totient
+from .ntheory import divisors, is_prime, moebius, totient
 from .polys import Poly, _scalar, cyclotomic_poly, format_scalar, parse_scalar, resultant
 
 __all__ = [
@@ -41,12 +45,12 @@ __all__ = [
 
 @functools.cache
 def _power_rows(n):
-    """Reduced coordinate rows for zeta^j, j = phi(n) .. max(n-1, 2*phi(n)-2)."""
+    """Reduced coordinate rows for zeta^j, j = phi(n) .. n-1."""
     d = totient(n)
     phi = cyclotomic_poly(n).coeffs
     rows = {}
     cur = [-c for c in phi[:d]]
-    for j in range(d, max(n - 1, 2 * d - 2) + 1):
+    for j in range(d, n):
         rows[j] = tuple(cur)
         carry = cur[-1]
         cur = [0] + cur[:-1]
@@ -84,18 +88,15 @@ def _mul_vecs(n, a, b):
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] += ai * bj
-    if n > d:
-        return _reduce(n, prod)
-    # exponents stay below 2*phi(n)-1; fold the overflow rows directly
-    out = prod[:d]
-    rows = _power_rows(n)
-    for j in range(d, 2 * d - 1):
-        c = prod[j]
-        if c:
-            row = rows[j]
-            for i in range(d):
-                out[i] += c * row[i]
-    return tuple(_scalar(c) for c in out)
+    return _reduce(n, prod)
+
+
+@functools.cache
+def _ramanujan_sums(n):
+    """Tr(zeta^i) for i = 0 .. phi(n)-1: the Ramanujan sums c_n(i), by von
+    Sterneck's formula c_n(i) = moebius(n/g) * phi(n) / phi(n/g), g = gcd(i, n)."""
+    d = totient(n)
+    return tuple(moebius(n // g) * (d // totient(n // g)) for g in (math.gcd(i, n) for i in range(d)))
 
 
 class CycElt:
@@ -267,6 +268,11 @@ class CycElt:
         """Fixed by complex conjugation."""
         return self.conj() == self
 
+    def _cleared(self):
+        """(m, A): the least m >= 1 with A = m*self integral, A as int coordinates."""
+        m = math.lcm(*(c.denominator for c in self.coeffs))
+        return m, [int(c * m) for c in self.coeffs]
+
     def norm(self):
         """Field norm down to Q: the product of all Galois conjugates.
 
@@ -275,40 +281,33 @@ class CycElt:
         """
         if not self:
             return 0
-        m = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                m = m * c.denominator // math.gcd(m, c.denominator)
-        ints = [int(c * m) for c in self.coeffs]
+        m, ints = self._cleared()
         r = resultant(cyclotomic_poly(self.n), Poly(ints))
         return _scalar(Fraction(r, m ** totient(self.n)))
 
     def trace(self):
-        """Field trace down to Q: the sum of all Galois conjugates."""
-        n = self.n
-        total = CycElt.zero(n)
-        for k in range(1, n + 1):
-            if math.gcd(k, n) == 1:
-                total = total + self.galois(k)
-        if any(total.coeffs[1:]):
-            raise InternalInvariantError("trace did not reduce to a rational scalar")
-        return total.coeffs[0]
+        """Field trace down to Q: the sum of all Galois conjugates, taken
+        as sum c_i * Tr(zeta^i) with Tr(zeta^i) the Ramanujan sum c_n(i)."""
+        return _scalar(sum(c * t for c, t in zip(self.coeffs, _ramanujan_sums(self.n)) if c))
 
     def inverse(self) -> "CycElt":
-        """Multiplicative inverse, by the extended Euclidean algorithm
-        against the (irreducible) n-th cyclotomic polynomial."""
+        """Multiplicative inverse, fraction-free: with self = A/m for integral
+        A, the cofactor C = prod of sigma_k(A) over k != 1 coprime to n gives
+        A*C = N(A), so self^-1 = m*C / N(A).  Only integer ring products are
+        formed; the single division comes last."""
         if not self:
             raise ZeroDivisionError("division by zero")
-        r0, r1 = cyclotomic_poly(self.n), self.as_poly()
-        t0, t1 = Poly(), Poly([1])
-        while r1.degree > 0:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        if not r1:
-            raise InternalInvariantError("nonzero element shares a factor with the modulus")
-        c = r1.coeffs[0]
-        return CycElt(self.n, [_scalar(Fraction(t) / Fraction(c)) for t in t1.coeffs])
+        n = self.n
+        m, ints = self._cleared()
+        a = CycElt(n, ints)
+        cof = CycElt.one(n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                cof = cof * a.galois(k)
+        norm = (a * cof).coeffs
+        if any(norm[1:]) or not norm[0]:
+            raise InternalInvariantError("conjugate product is not a nonzero rational")
+        return CycElt(n, [Fraction(c * m, norm[0]) for c in cof.coeffs])
 
     def is_unit(self):
         """Unit of Z[zeta_n], i.e. norm +-1; requires integer coordinates."""

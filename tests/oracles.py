@@ -2,15 +2,18 @@
 
 Each oracle takes a different route than the library: brute-force counts,
 the Moebius product over sparse binomials, Sylvester determinants via
-Bareiss elimination, Galois-conjugate folding, and multiplication-matrix
-traces.  They are deliberately slow and simple.
+Bareiss elimination, Galois-conjugate folding, multiplication-matrix
+traces, and the extended Euclidean inverse over Q.  They are deliberately
+slow and simple.
 """
 
 import math
+from fractions import Fraction
 from functools import reduce
 
+from cyclo.errors import InternalInvariantError
 from cyclo.ntheory import totient
-from cyclo.polys import Poly
+from cyclo.polys import Poly, _scalar, cyclotomic_poly
 from cyclo.ring import CycElt, zeta_pow
 
 
@@ -137,12 +140,30 @@ def mult_matrix_trace(a):
     return sum((a * zeta_pow(a.n, i)).coeffs[i] for i in range(totient(a.n)))
 
 
+# -- inverse by an alternate route ----------------------------------------------
+
+
+def euclid_inverse(a):
+    """Multiplicative inverse, by the extended Euclidean algorithm
+    against the (irreducible) n-th cyclotomic polynomial."""
+    if not a:
+        raise ZeroDivisionError("division by zero")
+    r0, r1 = cyclotomic_poly(a.n), a.as_poly()
+    t0, t1 = Poly(), Poly([1])
+    while r1.degree > 0:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    if not r1:
+        raise InternalInvariantError("nonzero element shares a factor with the modulus")
+    c = r1.coeffs[0]
+    return CycElt(a.n, [_scalar(Fraction(t) / Fraction(c)) for t in t1.coeffs])
+
+
 def rand_elt(rng, n, lo=-9, hi=9, max_den=1):
     """Random element with coordinates in [lo, hi] (over max_den > 1,
     random denominators up to max_den)."""
     d = totient(n)
     if max_den > 1:
-        from fractions import Fraction
-
         return CycElt(n, [Fraction(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(d)])
     return CycElt(n, [rng.randint(lo, hi) for _ in range(d)])

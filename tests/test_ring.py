@@ -1,12 +1,16 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
+from cyclo import ring
 from cyclo.errors import ConductorMismatchError, NotIntegralError
 from cyclo.ntheory import totient
+from cyclo.polys import cyclotomic_poly
 from cyclo.ring import (
     CycElt,
     decompose_unit,
@@ -14,7 +18,7 @@ from cyclo.ring import (
     is_root_of_unity,
     zeta_pow,
 )
-from oracles import conjugate_product_norm, mult_matrix_trace, rand_elt
+from oracles import conjugate_product_norm, euclid_inverse, mult_matrix_trace, rand_elt
 
 RING_CONDUCTORS = (3, 4, 5, 7, 8, 9, 12)
 
@@ -166,6 +170,10 @@ def test_trace_examples():
     assert CycElt.one(5).trace() == 4
     assert z.trace() == -1  # sum of primitive 5th roots = moebius(5)
     assert CycElt(5, Fraction(2, 3)).trace() == Fraction(8, 3)
+    assert CycElt(6, [Fraction(1, 2), Fraction(1, 2)]).trace() == Fraction(3, 2)
+    # p/q coordinates with an integral trace still give an int
+    for a in (CycElt(5, Fraction(1, 4)), CycElt(4, [0, Fraction(1, 3)]), CycElt(1, Fraction(6, 2))):
+        assert type(a.trace()) is int
 
 
 def test_norm_multiplicative_trace_additive():
@@ -184,6 +192,20 @@ def test_norm_trace_match_oracles():
             a = rand_elt(rng, n, max_den=2)
             assert a.norm() == conjugate_product_norm(a)
             assert a.trace() == mult_matrix_trace(a)
+
+
+@pytest.mark.parametrize("n", (1, 2, 6, 10, 14, 18, 30))
+def test_trace_edge_cases_match_oracle(n):
+    # n = 1, 2 and n = 2 mod 4, where Phi_n(X) = Phi_(n/2)(-X)
+    rng = random.Random(53 + n)
+    zero = CycElt.zero(n)
+    assert zero.trace() == 0 and type(zero.trace()) is int
+    for max_den in (1, 4):
+        for _ in range(10):
+            a = rand_elt(rng, n, max_den=max_den)
+            t = a.trace()
+            assert t == mult_matrix_trace(a)
+            assert type(t) is (int if Fraction(t).denominator == 1 else Fraction)
 
 
 def test_norm_trace_galois_invariant():
@@ -224,6 +246,19 @@ def test_inverse_on_randoms():
             assert a * a.inverse() == CycElt.one(n)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 6, 8, 9, 12, 15, 16, 20, 21, 25, 27))
+def test_inverse_matches_euclid_oracle(n):
+    # n = 2 mod 4 and prime powers included; phi(n) <= 20 keeps the oracle cheap
+    rng = random.Random(47 + n)
+    elts = [CycElt(n, Fraction(-7, 3)), CycElt.zeta(n) + 1]
+    elts += [rand_elt(rng, n, max_den=max_den) for max_den in (1, 1, 5, 5)]
+    for a in filter(None, elts):
+        inv = euclid_inverse(a)
+        assert a.inverse() == inv and repr(a.inverse()) == repr(inv)
+        assert repr(3 / a) == repr(inv * 3)
+        assert repr(a**-2) == repr(inv * inv)
+
+
 def test_is_unit_examples():
     z = CycElt.zeta(5)
     assert CycElt.one(5).is_unit()
@@ -253,6 +288,33 @@ def test_is_real_examples():
     assert CycElt(5, Fraction(7, 3)).is_real()
     assert (z + z**4).is_real()
     assert not (1 + z).is_real()
+
+
+def test_caches_are_thread_safe():
+    rng = random.Random(61)
+    elts = [rand_elt(rng, n, max_den=3) for n in (7, 9, 12, 15, 16, 20, 21)]
+    serial = [(a.inverse(), a.trace()) for a in elts]
+    for cache in (ring._power_rows, ring._ramanujan_sums, cyclotomic_poly):
+        cache.cache_clear()
+    results = [None] * 4
+    start = threading.Barrier(len(results), timeout=30)
+
+    def work(slot):
+        start.wait()
+        results[slot] = [(a.inverse(), a.trace()) for a in elts]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * len(results)
 
 
 # -- unit decomposition -------------------------------------------------------------
