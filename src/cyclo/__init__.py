@@ -21,7 +21,7 @@ from .fermat import (
     merge_reports,
     perfect_pth_root,
 )
-from .ntheory import binomial, divisors, factorize, is_prime, moebius, rat_normalize, totient
+from .ntheory import divisors, factorize, is_prime, moebius, totient
 from .polys import (
     Poly,
     cyclotomic_poly,
@@ -58,7 +58,6 @@ __all__ = [
     "SearchReport",
     "UnitDecomposition",
     "bernoulli",
-    "binomial",
     "case_i_search",
     "check_regular_and_search",
     "cyclotomic_poly",
@@ -78,7 +77,6 @@ __all__ = [
     "perfect_pth_root",
     "poly_from_str",
     "poly_to_str",
-    "rat_normalize",
     "resultant",
     "totient",
     "vsc_denominator",

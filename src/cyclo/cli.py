@@ -3,8 +3,9 @@
 Every subcommand takes `--json` (exactly one machine-readable JSON object
 on stdout) and `--quiet` (essential output only).  Exit codes: 0 success,
 1 usage error, 2 domain error (bad but well-formed input, e.g. an
-irregular prime in the case1 pipeline), 3 internal invariant violation
-(a verified postcondition failed; never caused by user input).
+irregular prime in the case1 pipeline or a conductor above MAX_CONDUCTOR),
+3 internal invariant violation (a verified postcondition failed; never
+caused by user input).
 
 Rationals never appear as floats: scalar values serialize as strings like
 `-691/2730`, elements as `n:[c0,c1,...]`, polynomials as `[c0,c1,...]`.
@@ -22,7 +23,7 @@ from .errors import InternalInvariantError
 from .fermat import case_i_search, check_regular_and_search
 from .ntheory import is_prime
 from .polys import cyclotomic_poly, discr_prime_pow, discriminant, format_scalar, poly_to_str
-from .ring import CycElt, decompose_unit, factor_sum_pth_powers
+from .ring import CycElt, decompose_unit, factor_sum_pth_powers, parse_literal
 
 __all__ = ["main", "run", "to_json"]
 
@@ -104,12 +105,14 @@ def _cmd_pairs(args):
 
 
 def _cmd_elt(args):
-    op, a, b = args.op, args.a, args.b
+    op = args.op
     binary = op in ("add", "mul")
-    if binary and b is None:
+    if binary and args.b is None:
         raise _UsageError(f"elt {op} takes two elements")
-    if not binary and b is not None:
+    if not binary and args.b is not None:
         raise _UsageError(f"elt {op} takes one element")
+    a = CycElt(*args.a)
+    b = None if args.b is None else CycElt(*args.b)
     inputs = {"op": op, "a": str(a)}
     if b is not None:
         inputs["b"] = str(b)
@@ -138,7 +141,7 @@ def _cmd_elt(args):
 
 
 def _cmd_unit_decompose(args):
-    u = args.elt
+    u = CycElt(*args.elt)
     if args.p != u.n:
         raise ValueError("conductor mismatch")
     dec = decompose_unit(u)
@@ -228,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("elt", parents=[common], help="element arithmetic on n:[c0,c1,...] literals")
     p.add_argument("op", choices=["add", "mul", "inv", "norm", "trace", "conj", "is-real", "is-unit"])
-    p.add_argument("a", type=CycElt.parse)
-    p.add_argument("b", type=CycElt.parse, nargs="?", default=None)
+    p.add_argument("a", type=parse_literal)
+    p.add_argument("b", type=parse_literal, nargs="?", default=None)
     p.set_defaults(handler=_cmd_elt)
 
     p = sub.add_parser("unit-decompose", parents=[common], help="split a unit as real * zeta^m")
     p.add_argument("p", type=int)
-    p.add_argument("elt", type=CycElt.parse)
+    p.add_argument("elt", type=parse_literal)
     p.set_defaults(handler=_cmd_unit_decompose)
 
     p = sub.add_parser("factor", parents=[common], help="factor x^p + y^p into (x + zeta^i y)")

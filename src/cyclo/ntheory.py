@@ -9,15 +9,12 @@ factorization is plain trial division.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
-    "binomial",
     "divisors",
     "factorize",
     "is_prime",
     "moebius",
-    "rat_normalize",
     "totient",
 ]
 
@@ -85,19 +82,3 @@ def moebius(n: int) -> int:
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero when k > n."""
-    return math.comb(n, k)
-
-
-def rat_normalize(num: int, den: int) -> Fraction:
-    """Reduced fraction num/den with positive denominator.
-
-    >>> rat_normalize(3, -6)
-    Fraction(-1, 2)
-    """
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)

@@ -22,7 +22,9 @@ from .errors import InternalInvariantError
 from .ntheory import factorize, is_prime, totient
 
 __all__ = [
+    "MAX_CONDUCTOR",
     "Poly",
+    "check_conductor",
     "cyclotomic_poly",
     "discr_prime_pow",
     "discriminant",
@@ -216,6 +218,19 @@ class Poly:
         return Poly(out)
 
 
+# Largest accepted conductor.  Element arithmetic in Q(zeta_n) builds lists of
+# up to n coordinates (reduction, Galois images, zeta_n^j), so every entry
+# point bounds n before anything of that size is allocated.
+MAX_CONDUCTOR = 100_000
+
+
+def check_conductor(n) -> int:
+    """Return n if it is an int in 1..MAX_CONDUCTOR, else raise ValueError."""
+    if not isinstance(n, int) or not 1 <= n <= MAX_CONDUCTOR:
+        raise ValueError(f"conductor must be an integer in 1..{MAX_CONDUCTOR}")
+    return n
+
+
 @functools.cache
 def cyclotomic_poly(n: int) -> Poly:
     """The n-th cyclotomic polynomial, monic of degree phi(n).
@@ -223,13 +238,12 @@ def cyclotomic_poly(n: int) -> Poly:
     Built by recursive exact division: with p the largest prime factor of n
     and m = n // p, Phi_n(X) = Phi_m(X^p) / Phi_m(X) when p does not divide
     m, and Phi_n(X) = Phi_m(X^p) when it does.  Cached per process (the
-    cache is a thread-safe idempotent memo).
+    cache is a thread-safe idempotent memo).  n must pass check_conductor.
 
     >>> cyclotomic_poly(12)
     Poly((1, 0, -1, 0, 1))
     """
-    if n < 1:
-        raise ValueError("conductor must be >= 1")
+    check_conductor(n)
     if n == 1:
         return Poly((-1, 1))
     p = factorize(n)[-1][0]

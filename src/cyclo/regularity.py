@@ -9,11 +9,12 @@ it does are its irregular pairs.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ntheory import binomial, divisors, is_prime
+from .ntheory import divisors, is_prime
 
 __all__ = [
     "RegularityReport",
@@ -43,7 +44,7 @@ def bernoulli(m: int) -> Fraction:
                 acc = Fraction(0)
                 for j, bj in enumerate(_table):
                     if bj:
-                        acc += binomial(i + 1, j) * bj
+                        acc += math.comb(i + 1, j) * bj
                 _table.append(-acc / (i + 1))
     return _table[m]
 

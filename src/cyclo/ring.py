@@ -2,18 +2,21 @@
 
 An element is a vector of phi(n) exact coordinates over the power basis
 1, zeta, ..., zeta^(phi(n)-1), kept reduced modulo the n-th cyclotomic
-polynomial.  The reduced form is unique, so equality is coordinate
-comparison.  Integer coordinates are stored as int; the elements with all
-integer coordinates are exactly the members of Z[zeta_n] (for prime-power
-n this ring is the full ring of integers; for other n the predicate means
-membership in Z[zeta_n], nothing more).
+polynomial.  Every construction, product, Galois image and inverse goes
+through one map, `_reduce`: exponents fold modulo n, then the remainder
+is taken by synthetic division by the cached monic Phi_n.  The reduced
+form is unique, so equality is coordinate comparison.  Integer
+coordinates are stored as int; the elements with all integer coordinates
+are exactly the members of Z[zeta_n] (for prime-power n this ring is the
+full ring of integers; for other n the predicate means membership in
+Z[zeta_n], nothing more).
 
 Nothing divides polynomials over Q: the trace reads a table of Ramanujan
 sums, and the inverse is an integer conjugate product over the norm.
 
 Everything is immutable and every operation is a pure function; the only
-shared state is the per-conductor reduction and trace tables, idempotent
-caches.
+shared state is the per-conductor Ramanujan-sum table here and the Phi_n
+cache in `polys`, both idempotent caches.
 
 >>> z = CycElt.zeta(5)
 >>> (1 + z) * (1 + z**4)
@@ -31,7 +34,7 @@ from fractions import Fraction
 
 from .errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
 from .ntheory import divisors, is_prime, moebius, totient
-from .polys import Poly, _scalar, cyclotomic_poly, format_scalar, parse_scalar, resultant
+from .polys import Poly, _scalar, check_conductor, cyclotomic_poly, format_scalar, parse_scalar, resultant
 
 __all__ = [
     "CycElt",
@@ -39,45 +42,32 @@ __all__ = [
     "decompose_unit",
     "factor_sum_pth_powers",
     "is_root_of_unity",
+    "parse_literal",
     "zeta_pow",
 ]
 
 
-@functools.cache
-def _power_rows(n):
-    """Reduced coordinate rows for zeta^j, j = phi(n) .. n-1."""
-    d = totient(n)
-    phi = cyclotomic_poly(n).coeffs
-    rows = {}
-    cur = [-c for c in phi[:d]]
-    for j in range(d, n):
-        rows[j] = tuple(cur)
-        carry = cur[-1]
-        cur = [0] + cur[:-1]
-        if carry:
-            base = rows[d]
-            for i in range(d):
-                cur[i] += carry * base[i]
-    return rows
-
-
 def _reduce(n, raw):
-    """Fold an arbitrary coordinate list to the canonical length-phi(n) form."""
-    d = totient(n)
-    vec = [0] * n
+    """The canonical length-phi(n) form of sum raw[i] * zeta^i: fold the
+    exponents modulo n (zeta^n = 1), then take the remainder of the
+    division by the monic Phi_n, top coefficient first.  Each step applies
+    only the nonzero lower terms of Phi_n; the cleared top entry is never
+    read again."""
+    phi = cyclotomic_poly(n).coeffs
+    d = len(phi) - 1
+    vec = [0] * max(d, min(n, len(raw)))
     for i, c in enumerate(raw):
         if c:
             vec[i % n] += c
-    out = vec[:d]
-    if n > d:
-        rows = _power_rows(n)
-        for j in range(d, n):
+    if len(vec) > d:
+        terms = [(i, p) for i, p in enumerate(phi[:d]) if p]
+        for j in range(len(vec) - 1, d - 1, -1):
             c = vec[j]
             if c:
-                row = rows[j]
-                for i in range(d):
-                    out[i] += c * row[i]
-    return tuple(_scalar(c) for c in out)
+                shift = j - d
+                for i, p in terms:
+                    vec[shift + i] -= c * p
+    return tuple(_scalar(c) for c in vec[:d])
 
 
 def _mul_vecs(n, a, b):
@@ -110,8 +100,7 @@ class CycElt:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs=()):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("conductor must be an integer >= 1")
+        check_conductor(n)
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
         object.__setattr__(self, "n", n)
@@ -137,17 +126,7 @@ class CycElt:
     @classmethod
     def parse(cls, text: str) -> "CycElt":
         """Parse the element literal `n:[c0,c1,...]` (ints or p/q fractions)."""
-        try:
-            head, _, body = text.partition(":")
-            n = int(head.strip())
-            body = body.strip()
-            if not (body.startswith("[") and body.endswith("]")):
-                raise ValueError
-            inner = body[1:-1].strip()
-            coeffs = [parse_scalar(tok) for tok in inner.split(",")] if inner else []
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed element literal: {text!r}") from exc
-        return cls(n, coeffs)
+        return cls(*parse_literal(text))
 
     # -- presentation ------------------------------------------------------
 
@@ -283,7 +262,7 @@ class CycElt:
             return 0
         m, ints = self._cleared()
         r = resultant(cyclotomic_poly(self.n), Poly(ints))
-        return _scalar(Fraction(r, m ** totient(self.n)))
+        return _scalar(Fraction(r, m ** cyclotomic_poly(self.n).degree))
 
     def trace(self):
         """Field trace down to Q: the sum of all Galois conjugates, taken
@@ -316,13 +295,25 @@ class CycElt:
         return abs(self.norm()) == 1
 
 
+def parse_literal(text: str) -> tuple[int, list]:
+    """Split the element literal `n:[c0,c1,...]` into the conductor and the
+    coordinates.  Only the syntax is checked; CycElt(n, coeffs) checks n."""
+    try:
+        head, _, body = text.partition(":")
+        n = int(head.strip())
+        body = body.strip()
+        if not (body.startswith("[") and body.endswith("]")):
+            raise ValueError
+        inner = body[1:-1].strip()
+        coeffs = [parse_scalar(tok) for tok in inner.split(",")] if inner else []
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed element literal: {text!r}") from exc
+    return n, coeffs
+
+
 def zeta_pow(n: int, j: int) -> CycElt:
     """zeta_n^j in canonical form (j is taken mod n)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("conductor must be an integer >= 1")
-    raw = [0] * n
-    raw[j % n] = 1
-    return CycElt(n, raw)
+    return CycElt(n, [0] * (j % check_conductor(n)) + [1])
 
 
 def is_root_of_unity(a: CycElt):

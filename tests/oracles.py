@@ -33,13 +33,6 @@ def moebius_brute(n):
     return -mu if n > 1 else mu
 
 
-def pascal_binomial(n, k):
-    row = [1]
-    for _ in range(n):
-        row = [a + b for a, b in zip([0] + row, row + [0])]
-    return row[k] if k < len(row) else 0
-
-
 # -- cyclotomic polynomial via the Moebius product --------------------------
 
 

@@ -121,6 +121,10 @@ def test_usage_errors_exit_1(capsys, argv):
         (["unit-decompose", "5", "5:[1,-1,0,0]"], "not a unit"),
         (["bernoulli", "-2"], ">= 0"),
         (["regular", "--upto", "1"], ">= 2"),
+        (["poly", str(2**1100)], "conductor must be an integer in 1..100000"),
+        (["elt", "norm", "100003:[1]"], "conductor must be an integer in 1..100000"),
+        (["elt", "add", "5:[1]", f"{10**30}:[1]"], "conductor must be an integer in 1..100000"),
+        (["unit-decompose", "7", f"{2**1100}:[1,1]"], "conductor must be an integer in 1..100000"),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv, fragment):

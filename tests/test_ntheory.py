@@ -1,10 +1,9 @@
 import math
-from fractions import Fraction
 
 import pytest
 
-from cyclo.ntheory import binomial, divisors, is_prime, moebius, rat_normalize, totient
-from oracles import moebius_brute, pascal_binomial, phi_brute
+from cyclo.ntheory import divisors, is_prime, moebius, totient
+from oracles import moebius_brute, phi_brute
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (9, 6), (100, 40)])
@@ -45,49 +44,6 @@ def test_moebius_divisor_sum():
     assert sum(moebius(d) for d in divisors(1)) == 1
     for n in range(2, 1001):
         assert sum(moebius(d) for d in divisors(n)) == 0
-
-
-@pytest.mark.parametrize("n,k,expected", [(7, 0, 1), (5, 2, 10), (4, 5, 0)])
-def test_binomial_examples(n, k, expected):
-    assert binomial(n, k) == expected
-    assert pascal_binomial(n, k) == expected
-
-
-def test_binomial_matches_pascal():
-    for n in range(12):
-        for k in range(15):
-            assert binomial(n, k) == pascal_binomial(n, k)
-
-
-@pytest.mark.parametrize(
-    "num,den,expected",
-    [(2, 4, Fraction(1, 2)), (3, -6, Fraction(-1, 2)), (0, 5, Fraction(0, 1))],
-)
-def test_rat_normalize_examples(num, den, expected):
-    got = rat_normalize(num, den)
-    assert got == expected
-    assert got.denominator > 0
-    assert math.gcd(abs(got.numerator), got.denominator) == 1
-
-
-def test_rat_normalize_zero_denominator():
-    with pytest.raises(ZeroDivisionError, match="division by zero"):
-        rat_normalize(1, 0)
-
-
-def test_rat_normalize_idempotent():
-    import random
-
-    rng = random.Random(11)
-    for _ in range(200):
-        num = rng.randint(-500, 500)
-        den = rng.randint(1, 500) * rng.choice([-1, 1])
-        r = rat_normalize(num, den)
-        again = rat_normalize(r.numerator, r.denominator)
-        assert again == r
-        assert r.denominator > 0
-        assert math.gcd(abs(r.numerator), r.denominator) == 1
-        assert (r.numerator, r.denominator) != (0, -1)
 
 
 def test_is_prime_small():

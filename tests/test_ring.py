@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -10,7 +11,7 @@ import pytest
 from cyclo import ring
 from cyclo.errors import ConductorMismatchError, NotIntegralError
 from cyclo.ntheory import totient
-from cyclo.polys import cyclotomic_poly
+from cyclo.polys import MAX_CONDUCTOR, Poly, check_conductor, cyclotomic_poly
 from cyclo.ring import (
     CycElt,
     decompose_unit,
@@ -51,6 +52,33 @@ def test_reduce_idempotent():
             assert CycElt(n, a.coeffs) == a
 
 
+@pytest.mark.parametrize("n", range(1, 65))
+def test_reduce_matches_poly_remainder(n):
+    """Construction is the remainder of the raw polynomial modulo Phi_n,
+    for raw coordinate lists shorter than, as long as and longer than n."""
+    rng = random.Random(n)
+    phi = cyclotomic_poly(n)
+    d = phi.degree
+    for length in (0, 1, d, n, 2 * d - 1, 3 * n):
+        for make in (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))):
+            raw = [make() for _ in range(length)]
+            rem = (Poly(raw) % phi).coeffs
+            assert CycElt(n, raw).coeffs == rem + (0,) * (d - len(rem))
+
+
+def test_reduce_memory_is_linear_in_n():
+    """A large conductor costs buffers of size n, not an (n - phi(n)) x phi(n) table."""
+    cyclotomic_poly.cache_clear()
+    tracemalloc.start()
+    try:
+        a = CycElt(9699, [1, 1])
+        assert (a * a).coeffs[:4] == (1, 2, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+
+
 def test_equality_is_coefficient_comparison():
     a = CycElt(5, [1, 2, 0, 0])
     b = CycElt(5, [Fraction(2, 2), Fraction(4, 2)])
@@ -63,6 +91,22 @@ def test_rejects_bad_conductor_and_floats():
         CycElt(0, [1])
     with pytest.raises(TypeError):
         CycElt(5, [0.5])
+    with pytest.raises(ValueError):
+        CycElt(5.0, [1])
+
+
+@pytest.mark.parametrize("n", [0, -3, 100003, 10**30, 2**1100], ids=["0", "-3", "100003", "10**30", "2**1100"])
+def test_conductor_checked_before_allocation(n):
+    for build in (lambda: CycElt(n, [1, 1]), lambda: zeta_pow(n, -1), lambda: cyclotomic_poly(n)):
+        with pytest.raises(ValueError, match="conductor must be an integer in 1..100000"):
+            build()
+
+
+def test_conductor_cap_bounds():
+    assert check_conductor(1) == 1 and check_conductor(MAX_CONDUCTOR) == MAX_CONDUCTOR
+    for bad in (0, MAX_CONDUCTOR + 1, 5.0, "5"):
+        with pytest.raises(ValueError):
+            check_conductor(bad)
 
 
 # -- ring operations -----------------------------------------------------------
@@ -294,7 +338,7 @@ def test_caches_are_thread_safe():
     rng = random.Random(61)
     elts = [rand_elt(rng, n, max_den=3) for n in (7, 9, 12, 15, 16, 20, 21)]
     serial = [(a.inverse(), a.trace()) for a in elts]
-    for cache in (ring._power_rows, ring._ramanujan_sums, cyclotomic_poly):
+    for cache in (ring._ramanujan_sums, cyclotomic_poly):
         cache.cache_clear()
     results = [None] * 4
     start = threading.Barrier(len(results), timeout=30)
