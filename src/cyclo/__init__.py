@@ -17,9 +17,7 @@ from .fermat import (
     SearchReport,
     case_i_search,
     check_regular_and_search,
-    little_fermat_filter,
     merge_reports,
-    perfect_pth_root,
 )
 from .ntheory import divisors, factorize, is_prime, moebius, totient
 from .polys import (
@@ -71,10 +69,8 @@ __all__ = [
     "is_prime",
     "is_regular_prime",
     "is_root_of_unity",
-    "little_fermat_filter",
     "merge_reports",
     "moebius",
-    "perfect_pth_root",
     "poly_from_str",
     "poly_to_str",
     "resultant",

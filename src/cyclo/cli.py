@@ -3,9 +3,9 @@
 Every subcommand takes `--json` (exactly one machine-readable JSON object
 on stdout) and `--quiet` (essential output only).  Exit codes: 0 success,
 1 usage error, 2 domain error (bad but well-formed input, e.g. an
-irregular prime in the case1 pipeline or a conductor above MAX_CONDUCTOR),
-3 internal invariant violation (a verified postcondition failed; never
-caused by user input).
+irregular prime in the case1 pipeline, a conductor above MAX_CONDUCTOR or
+a bound above MAX_BOUND), 3 internal invariant violation (a verified
+postcondition failed; never caused by user input).
 
 Rationals never appear as floats: scalar values serialize as strings like
 `-691/2730`, elements as `n:[c0,c1,...]`, polynomials as `[c0,c1,...]`.
@@ -70,8 +70,6 @@ def _cmd_disc(args):
 
 
 def _cmd_bernoulli(args):
-    if args.m < 0:
-        raise ValueError("index must be >= 0")
     s = format_scalar(bernoulli(args.m))
     return {"m": args.m}, {"value": s}, [f"B_{args.m} = {s}"], s
 
@@ -262,8 +260,19 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    # Results such as discriminants run past Python's int-to-str digit limit;
+    # it is lifted only after argv is parsed, so literals keep the default.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         inputs, result, lines, quiet_line = args.handler(args)
+        if args.json:
+            print(to_json({"command": args.command, "inputs": inputs, "result": result, "exact": True}))
+        elif args.quiet:
+            print(quiet_line)
+        else:
+            for line in lines:
+                print(line)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -273,13 +282,8 @@ def run(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(to_json({"command": args.command, "inputs": inputs, "result": result, "exact": True}))
-    elif args.quiet:
-        print(quiet_line)
-    else:
-        for line in lines:
-            print(line)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     return 0
 
 

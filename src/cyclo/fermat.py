@@ -8,28 +8,37 @@ of two positive p-th powers equal to a third), so the box search is
 exhaustive up to the bound.
 
 The optional pruning filter uses t^p = t (mod p): any solution has
-z = z^p = x^p + y^p = x + y (mod p), so pairs with p | x + y would force
-p | z and cannot yield a coprime solution.  The search is partitionable
-over disjoint x-ranges with a deterministic merge.
+z = z^p = x^p + y^p = x + y (mod p), so a pair with p | x + y would force
+p | z and cannot yield a coprime solution.  The filter tests the pair
+alone, before any z is looked for, so `pruned_by_filter` counts pairs.
+
+z needs no root extraction: z^p = x^p + y^p < 2y^p gives z < 2y, and for a
+fixed x it grows with y, so one pointer walks forward through the list of
+p-th powers of 0..2*bound.  The search is partitionable over disjoint
+x-ranges with a deterministic merge.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .regularity import is_regular_prime
 from .errors import IrregularPrimeError
-from .ntheory import is_prime
+from .ntheory import check_odd_prime
 
 __all__ = [
+    "MAX_BOUND",
+    "MAX_POWER_BITS",
     "SearchReport",
     "case_i_search",
     "check_regular_and_search",
-    "little_fermat_filter",
     "merge_reports",
-    "perfect_pth_root",
 ]
+
+# Largest accepted bound (a search tests bound*(bound+1)/2 pairs), and size in
+# bits of the list of p-th powers of 0..2*bound, taken as 2*bound + 1 entries
+# of p * bit_length(2*bound + 1) bits each.
+MAX_BOUND, MAX_POWER_BITS = 10_000, 1 << 30
 
 
 @dataclass(frozen=True)
@@ -41,32 +50,14 @@ class SearchReport:
     solutions: tuple[tuple[int, int, int], ...]
 
 
-def perfect_pth_root(s: int, p: int):
-    """The integer z with z^p = s, or None; binary search, exact only."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    lo, hi = 1, 1 << (s.bit_length() // p + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = mid**p
-        if v == s:
-            return mid
-        if v < s:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
-
-
-def little_fermat_filter(p: int, x: int, y: int, z: int) -> bool:
-    """Keep/prune test for a triple with gcd(xyz, p) = 1: False (prune)
-    unless x + y = z (mod p), a necessary condition for x^p + y^p = z^p."""
-    return (x + y - z) % p == 0
-
-
-def _validate_odd_prime(p):
-    if p == 2 or not is_prime(p):
-        raise ValueError("odd prime required")
+def _check_search(p, bound):
+    """Reject a box too large to search, before any trial division of p."""
+    if not 0 <= bound <= MAX_BOUND:
+        raise ValueError(f"bound must be in 0..{MAX_BOUND}")
+    size = 2 * bound + 1
+    if size * size.bit_length() * p > MAX_POWER_BITS:
+        raise ValueError(f"p-th powers of 0..2*bound would exceed {MAX_POWER_BITS} bits")
+    check_odd_prime(p)
 
 
 def case_i_search(p: int, bound: int, use_filter: bool = True, x_range=None) -> SearchReport:
@@ -75,37 +66,35 @@ def case_i_search(p: int, bound: int, use_filter: bool = True, x_range=None) -> 
     partitioned runs; every (x, y) pair in the box counts as a candidate
     whether or not it survives the coprimality screen or the filter.
     """
-    _validate_odd_prime(p)
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    _check_search(p, bound)
     lo, hi = x_range if x_range is not None else (1, bound)
     lo, hi = max(lo, 1), min(hi, bound)
     candidates = 0
     pruned = 0
     solutions = []
-    pth = {v: v**p for v in range(lo, bound + 1)}
+    pth = [v**p for v in range(2 * bound + 1)]
     for x in range(lo, hi + 1):
-        xp = pth[x]
+        candidates += bound - x + 1
+        if x % p == 0:
+            continue
+        xp, z = pth[x], x
         for y in range(x, bound + 1):
-            candidates += 1
-            if x % p == 0 or y % p == 0:
+            if y % p == 0:
                 continue
             if use_filter and (x + y) % p == 0:
-                # any z with z^p = x^p + y^p satisfies z = x + y = 0 (mod p)
                 pruned += 1
                 continue
             s = xp + pth[y]
-            z = perfect_pth_root(s, p)
-            if z is None or z % p == 0:
-                continue
-            if x**p + y**p == z**p and math.gcd(x * y * z, p) == 1 and x * y * z != 0:
+            while pth[z] < s:
+                z += 1
+            if pth[z] == s and z % p:
                 solutions.append((x, y, z))
     return SearchReport(
         p=p,
         bound=bound,
         candidates_examined=candidates,
         pruned_by_filter=pruned,
-        solutions=tuple(sorted(solutions)),
+        solutions=tuple(solutions),
     )
 
 
@@ -131,7 +120,7 @@ def check_regular_and_search(p: int, bound: int, use_filter: bool = True) -> Sea
     """The regularity-gated pipeline: verify p is an odd regular prime,
     then run the box search; irregular primes are rejected with their
     irregular pairs named."""
-    _validate_odd_prime(p)
+    _check_search(p, bound)
     report = is_regular_prime(p)
     if not report.regular:
         raise IrregularPrimeError(p, report.pairs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "check_odd_prime",
     "divisors",
     "factorize",
     "is_prime",
@@ -31,6 +32,13 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
+
+
+def check_odd_prime(p: int) -> int:
+    """Return p if it is an odd prime, else raise ValueError."""
+    if p == 2 or not is_prime(p):
+        raise ValueError("odd prime required")
+    return p
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -258,23 +258,20 @@ def cyclotomic_poly(n: int) -> Poly:
 
 
 def _prem(A, B):
-    """Pseudo-remainder over Z: lc(B)^(deg A - deg B + 1) * A mod B."""
-    dB = len(B) - 1
-    lb = B[-1]
-    R = list(A)
-    e = len(A) - 1 - dB + 1
-    while R and len(R) - 1 >= dB:
-        lead = R[-1]
-        shift = len(R) - 1 - dB
-        R = [lb * c for c in R]
-        for i, bc in enumerate(B):
-            R[shift + i] -= lead * bc
-        while R and R[-1] == 0:
-            R.pop()
-        e -= 1
-    if e > 0:
-        scale = lb**e
-        R = [c * scale for c in R]
+    """Pseudo-remainder over Z: lc(B)^(deg A - deg B + 1) * A mod B, scaled
+    once up front so that each step divides its lead exactly by lc(B)."""
+    dB, lb = len(B) - 1, B[-1]
+    scale = lb ** max(len(A) - dB, 0)
+    R = [c * scale for c in A]
+    for top in range(len(R) - 1, dB - 1, -1):
+        q = _exact_int_div(R[top], lb)
+        if q:
+            shift = top - dB
+            for i in range(dB):
+                R[shift + i] -= q * B[i]
+    del R[dB:]
+    while R and R[-1] == 0:
+        R.pop()
     return R
 
 
@@ -330,8 +327,13 @@ def discr_prime_pow(p: int, k: int) -> int:
 
     evaluated with truncated natural-number semantics (the /2 is floor
     division and the inner subtraction floors at 0), which extends the
-    odd-p and p=2, k>1 cases to cover (2, 1) as well.
+    odd-p and p=2, k>1 cases to cover (2, 1) as well.  p^k must be at
+    most MAX_CONDUCTOR.
     """
+    # checked before any trial division of p; p^k >= 2^k > MAX_CONDUCTOR once
+    # k reaches its bit length, so p^k is built only when it is small
+    if p > MAX_CONDUCTOR or (p > 1 and (k >= MAX_CONDUCTOR.bit_length() or p**k > MAX_CONDUCTOR)):
+        raise ValueError(f"conductor p^k must be an integer in 1..{MAX_CONDUCTOR}")
     if not is_prime(p):
         raise ValueError("p must be prime")
     if k < 1:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
-from .ntheory import divisors, is_prime, moebius, totient
+from .ntheory import check_odd_prime, divisors, moebius, totient
 from .polys import Poly, _scalar, check_conductor, cyclotomic_poly, format_scalar, parse_scalar, resultant
 
 __all__ = [
@@ -346,9 +346,7 @@ def decompose_unit(u: CycElt) -> UnitDecomposition:
     are re-verified before returning, so a bug cannot masquerade as the
     classical argument.
     """
-    p = u.n
-    if p == 2 or not is_prime(p):
-        raise ValueError("odd prime conductor required")
+    p = check_odd_prime(u.n)
     if not u.is_unit():
         raise ValueError("not a unit of Z[zeta]")
     w = u * u.conj().inverse()
@@ -367,6 +365,5 @@ def decompose_unit(u: CycElt) -> UnitDecomposition:
 def factor_sum_pth_powers(x: int, y: int, p: int) -> list[CycElt]:
     """The p factors (x + zeta^i * y), i = 0..p-1, whose product is the
     scalar x^p + y^p in Q(zeta_p)."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("odd prime required")
+    check_odd_prime(check_conductor(p))
     return [CycElt(p, (x,)) + zeta_pow(p, i) * y for i in range(p)]

@@ -3,8 +3,8 @@
 Each oracle takes a different route than the library: brute-force counts,
 the Moebius product over sparse binomials, Sylvester determinants via
 Bareiss elimination, Galois-conjugate folding, multiplication-matrix
-traces, and the extended Euclidean inverse over Q.  They are deliberately
-slow and simple.
+traces, the extended Euclidean inverse over Q, and the Case I search by a
+binary-search p-th root per pair.  They are deliberately slow and simple.
 """
 
 import math
@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import reduce
 
 from cyclo.errors import InternalInvariantError
+from cyclo.fermat import SearchReport
 from cyclo.ntheory import totient
 from cyclo.polys import Poly, _scalar, cyclotomic_poly
 from cyclo.ring import CycElt, zeta_pow
@@ -151,6 +152,60 @@ def euclid_inverse(a):
         raise InternalInvariantError("nonzero element shares a factor with the modulus")
     c = r1.coeffs[0]
     return CycElt(a.n, [_scalar(Fraction(t) / Fraction(c)) for t in t1.coeffs])
+
+
+# -- Case I search by bisection roots --------------------------------------------
+
+
+def perfect_pth_root(s: int, p: int):
+    """The integer z with z^p = s, or None; binary search, exact only."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    lo, hi = 1, 1 << (s.bit_length() // p + 1)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        v = mid**p
+        if v == s:
+            return mid
+        if v < s:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
+
+
+def bisection_case_i_search(p, bound, use_filter=True, x_range=None):
+    """The Case I box search with a binary-search root of x^p + y^p for
+    every pair that survives the coprimality screen and the filter, and a
+    re-check of every hit; p must be an odd prime."""
+    lo, hi = x_range if x_range is not None else (1, bound)
+    lo, hi = max(lo, 1), min(hi, bound)
+    candidates = 0
+    pruned = 0
+    solutions = []
+    pth = {v: v**p for v in range(lo, bound + 1)}
+    for x in range(lo, hi + 1):
+        xp = pth[x]
+        for y in range(x, bound + 1):
+            candidates += 1
+            if x % p == 0 or y % p == 0:
+                continue
+            if use_filter and (x + y) % p == 0:
+                pruned += 1
+                continue
+            s = xp + pth[y]
+            z = perfect_pth_root(s, p)
+            if z is None or z % p == 0:
+                continue
+            if x**p + y**p == z**p and math.gcd(x * y * z, p) == 1 and x * y * z != 0:
+                solutions.append((x, y, z))
+    return SearchReport(
+        p=p,
+        bound=bound,
+        candidates_examined=candidates,
+        pruned_by_filter=pruned,
+        solutions=tuple(sorted(solutions)),
+    )
 
 
 def rand_elt(rng, n, lo=-9, hi=9, max_den=1):

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -125,6 +127,13 @@ def test_usage_errors_exit_1(capsys, argv):
         (["elt", "norm", "100003:[1]"], "conductor must be an integer in 1..100000"),
         (["elt", "add", "5:[1]", f"{10**30}:[1]"], "conductor must be an integer in 1..100000"),
         (["unit-decompose", "7", f"{2**1100}:[1,1]"], "conductor must be an integer in 1..100000"),
+        (["disc", "7", "9"], "conductor p^k must be an integer in 1..100000"),
+        (["disc", "2", "100000000"], "conductor p^k must be an integer in 1..100000"),
+        (["disc", str(2**127 - 1), "1"], "conductor p^k must be an integer in 1..100000"),
+        (["factor", "2305843009213693951", "1", "1"], "conductor must be an integer in 1..100000"),
+        (["case1", "5", "--bound", "100000000", "--skip-regularity"], "bound must be in 0..10000"),
+        (["case1", "5", "--bound", "10001"], "bound must be in 0..10000"),
+        (["case1", str(2**127 - 1), "--bound", "2"], "would exceed"),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv, fragment):
@@ -132,6 +141,43 @@ def test_domain_errors_exit_2(capsys, argv, fragment):
     out = capsys.readouterr()
     assert out.out == ""
     assert fragment in out.err
+
+
+def test_oversized_inputs_are_refused_before_work(capsys):
+    # each ran for more than 30 s, or ended in a MemoryError, before its size check
+    argvs = [
+        ["disc", "7", "9"],
+        ["disc", "2", "100000000"],
+        ["factor", "2305843009213693951", "1", "1"],
+        ["case1", "5", "--bound", "100000000", "--skip-regularity"],
+    ]
+    start = time.monotonic()
+    assert [run(argv) for argv in argvs] == [2] * len(argvs)
+    assert time.monotonic() - start < 5
+    capsys.readouterr()
+
+
+def test_results_past_the_int_digit_limit_print(capsys):
+    p = 16007  # the norm of 1 + 2 zeta_p is (2^p + 1) / 3, 4819 digits
+    limit = sys.get_int_max_str_digits()
+    assert run(["elt", "norm", f"{p}:[1,2]", "--quiet"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str((2**p + 1) // 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > limit and out == expected + "\n"
+
+
+def test_literals_keep_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(["elt", "norm", "5:[" + "7" * (limit + 1) + "]"]) == 1
+    assert "invalid parse_literal value" in capsys.readouterr().err
+    assert run(["bernoulli", "-2"]) == 2  # the limit is restored after an error too
+    assert sys.get_int_max_str_digits() == limit
+    capsys.readouterr()
 
 
 def test_internal_invariant_exits_3(capsys, monkeypatch):

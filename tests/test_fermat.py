@@ -4,12 +4,13 @@ import pytest
 
 from cyclo.errors import IrregularPrimeError
 from cyclo.fermat import (
+    MAX_BOUND,
+    MAX_POWER_BITS,
     case_i_search,
     check_regular_and_search,
-    little_fermat_filter,
     merge_reports,
-    perfect_pth_root,
 )
+from oracles import bisection_case_i_search, perfect_pth_root
 
 
 @pytest.mark.parametrize("s,p,expected", [(32, 5, 2), (33, 5, None), (1, 7, 1)])
@@ -29,11 +30,6 @@ def test_perfect_pth_root_exhaustive():
             if z >= 2:
                 assert perfect_pth_root(z**p - 1, p) is None
                 assert perfect_pth_root(z**p + 1, p) is None
-
-
-def test_little_fermat_filter_examples():
-    assert little_fermat_filter(5, 1, 1, 2) is True
-    assert little_fermat_filter(5, 1, 1, 3) is False
 
 
 @pytest.mark.parametrize("p,bound", [(3, 10), (5, 20)])
@@ -84,7 +80,7 @@ def test_filter_soundness():
             z = perfect_pth_root(x**p + y**p, p)
             assert z is None or math.gcd(z, p) != 1
             if z is not None:
-                assert not little_fermat_filter(p, x, y, z) or z % p == 0
+                assert (x + y - z) % p != 0 or z % p == 0
 
 
 def test_partitioned_search_merges_to_whole():
@@ -116,3 +112,34 @@ def test_pipeline_rejects_irregular_prime():
 def test_pipeline_rejects_two():
     with pytest.raises(ValueError, match="odd prime required"):
         check_regular_and_search(2, 10)
+
+
+X_RANGES = [None, (1, 1), (3, 9), (-4, 2), (0, 100), (12, 40), (9, 3), (41, 60)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_search_matches_bisection_oracle(p):
+    # No Case I solution exists, so this pins the counters and that the
+    # z-pointer stays inside the power list for every box and chunk.
+    for bound in (0, 1, 2, 3, 6, 13, 27, 40):
+        for use_filter in (True, False):
+            for x_range in X_RANGES:
+                got = case_i_search(p, bound, use_filter=use_filter, x_range=x_range)
+                want = bisection_case_i_search(p, bound, use_filter=use_filter, x_range=x_range)
+                assert got == want, (p, bound, use_filter, x_range)
+
+
+def test_search_size_checked_before_work():
+    for bound in (MAX_BOUND + 1, 10**8, 10**30, -1):
+        with pytest.raises(ValueError, match=f"bound must be in 0..{MAX_BOUND}"):
+            case_i_search(5, bound)
+        with pytest.raises(ValueError, match=f"bound must be in 0..{MAX_BOUND}"):
+            check_regular_and_search(5, bound)
+    # a huge p is refused before its trial division or any power is built
+    huge_prime = 2**127 - 1
+    for bound in (0, 2):
+        with pytest.raises(ValueError, match=str(MAX_POWER_BITS)):
+            case_i_search(huge_prime, bound)
+        with pytest.raises(ValueError, match=str(MAX_POWER_BITS)):
+            check_regular_and_search(huge_prime, bound)
+    assert case_i_search(3, MAX_BOUND, x_range=(MAX_BOUND, MAX_BOUND)).candidates_examined == 1

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cyclo.ntheory import divisors, is_prime, moebius, totient
+from cyclo.ntheory import check_odd_prime, divisors, is_prime, moebius, totient
 from oracles import moebius_brute, phi_brute
 
 
@@ -55,3 +55,10 @@ def test_is_prime_small():
                 sieve[j] = False
     for n in range(200):
         assert is_prime(n) == sieve[n]
+
+
+def test_check_odd_prime():
+    assert [check_odd_prime(p) for p in (3, 5, 101)] == [3, 5, 101]
+    for p in (2, 1, 0, -3, 9, 91):
+        with pytest.raises(ValueError, match="odd prime required"):
+            check_odd_prime(p)

@@ -5,7 +5,9 @@ import pytest
 
 from cyclo.ntheory import factorize, is_prime, totient
 from cyclo.polys import (
+    MAX_CONDUCTOR,
     Poly,
+    _prem,
     cyclotomic_poly,
     discr_prime_pow,
     discriminant,
@@ -220,6 +222,29 @@ def test_discr_prime_pow_rejects_composite():
         discr_prime_pow(6, 1)
     with pytest.raises(ValueError):
         discr_prime_pow(3, 0)
+
+
+def test_discr_prime_pow_size_checked_first():
+    # p^k above the conductor cap is refused without building p^k or
+    # trial-dividing p; each of these ran for more than 30 s unchecked
+    for p, k in [(7, 9), (2, 10**8), (2, 17), (3, 11), (317, 2), (2**127 - 1, 1), (100003, 1)]:
+        with pytest.raises(ValueError, match=f"conductor p\\^k must be an integer in 1..{MAX_CONDUCTOR}"):
+            discr_prime_pow(p, k)
+    assert discr_prime_pow(2, 16) == 2 ** (2**15 * 15)
+    assert discr_prime_pow(313, 2) == 313 ** (313 * 623)
+
+
+def test_prem_matches_division_over_q():
+    rng = random.Random(4)
+    for _ in range(400):
+        B = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(rng.randint(0, 6))]
+        B.append(rng.choice([1, -1, 2, -3, 6]))
+        A = [rng.choice([0, rng.randint(-50, 50)]) for _ in range(rng.randint(0, 12))]
+        A.append(rng.randint(1, 9))
+        scale = B[-1] ** max(len(A) - len(B) + 1, 0)
+        R = _prem(A, B)
+        assert all(isinstance(c, int) for c in R) and (not R or R[-1])
+        assert Poly(R) == (Poly(A) * scale) % Poly(B)
 
 
 def test_discr_formula_matches_oracle_small():

@@ -394,6 +394,13 @@ def test_decompose_unit_m_is_unique():
             assert real_ms == [decompose_unit(u).m]
 
 
+@pytest.mark.parametrize("p", [3, 5, 101, 4001])
+def test_norm_of_one_plus_two_zeta_closed_form(p):
+    # prod over k of (1 + 2 zeta^k) = (-2)^(p-1) Phi_p(-1/2) = (2^p + 1) / 3;
+    # 4001 took about 1 s when each pseudo-remainder step rescaled the whole row
+    assert CycElt(p, [1, 2]).norm() == (2**p + 1) // 3
+
+
 def test_decompose_unit_rejects_non_units():
     z = CycElt.zeta(5)
     with pytest.raises(ValueError, match="not a unit"):
@@ -428,6 +435,12 @@ def test_factor_rejects_even_or_composite():
         factor_sum_pth_powers(1, 1, 2)
     with pytest.raises(ValueError):
         factor_sum_pth_powers(1, 1, 9)
+
+
+def test_factor_checks_conductor_before_primality():
+    # 2^61 - 1 is prime; trial division to its square root took over 30 s
+    with pytest.raises(ValueError, match="conductor must be an integer"):
+        factor_sum_pth_powers(1, 1, 2**61 - 1)
 
 
 # -- literals ----------------------------------------------------------------------
