@@ -3,9 +3,10 @@
 Every subcommand takes `--json` (exactly one machine-readable JSON object
 on stdout) and `--quiet` (essential output only).  Exit codes: 0 success,
 1 usage error, 2 domain error (bad but well-formed input, e.g. an
-irregular prime in the case1 pipeline, a conductor above MAX_CONDUCTOR or
-a bound above MAX_BOUND), 3 internal invariant violation (a verified
-postcondition failed; never caused by user input).
+irregular prime in the case1 pipeline, a conductor above MAX_CONDUCTOR, a
+bound above MAX_BOUND, a Bernoulli index above MAX_INDEX, or a `disc`
+field degree above MAX_DISC_PHI), 3 internal invariant violation (a
+verified postcondition failed; never caused by user input).
 
 Rationals never appear as floats: scalar values serialize as strings like
 `-691/2730`, elements as `n:[c0,c1,...]`, polynomials as `[c0,c1,...]`.
@@ -16,16 +17,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import reduce
+from functools import cache, reduce
 
-from .regularity import bernoulli, irregular_pairs, is_regular_prime
+from .regularity import MAX_INDEX, bernoulli, irregular_pairs, is_regular_prime
 from .errors import InternalInvariantError
 from .fermat import case_i_search, check_regular_and_search
-from .ntheory import is_prime
+from .ntheory import is_prime, totient
 from .polys import cyclotomic_poly, discr_prime_pow, discriminant, format_scalar, poly_to_str
 from .ring import CycElt, decompose_unit, factor_sum_pth_powers, parse_literal
 
 __all__ = ["main", "run", "to_json"]
+
+# Largest field degree phi(p^k) that `disc` checks against the resultant
+# oracle.  On a 2-vCPU Xeon VM with Python 3.11 the slowest accepted case,
+# p^k = 7^4 (phi 2058), took 1.6 s and 3^7 (phi 1458) 1.6 s; 5^5 (phi 2500)
+# took 5.8 s and 7^5 (phi 14406) did not finish within 60 s.
+MAX_DISC_PHI = 2400
 
 
 def to_json(envelope: dict) -> str:
@@ -62,6 +69,8 @@ def _cmd_poly(args):
 
 def _cmd_disc(args):
     formula = discr_prime_pow(args.p, args.k)
+    if totient(args.p**args.k) > MAX_DISC_PHI:
+        raise ValueError(f"the discriminant oracle takes phi(p^k) <= {MAX_DISC_PHI}")
     oracle = discriminant(cyclotomic_poly(args.p**args.k))
     agree = formula == oracle
     line = f"formula={formula} oracle={oracle} agree={_fmt_bool(agree)}"
@@ -77,6 +86,8 @@ def _cmd_bernoulli(args):
 def _cmd_regular(args):
     if args.upto < 2:
         raise ValueError("--upto must be >= 2")
+    if args.upto - 3 > MAX_INDEX:
+        raise ValueError(f"--upto must be <= {MAX_INDEX + 3} (the criterion reads B_(p-3))")
     verdicts = [is_regular_prime(p) for p in range(2, args.upto + 1) if is_prime(p)]
     irregular = [r.p for r in verdicts if not r.regular]
     lines = [
@@ -198,7 +209,10 @@ def _cmd_case1(args):
     return inputs, result, lines, summary
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `cyclo` parser, built on the first call and shared after it
+    (parsing does not change it)."""
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object on stdout")
     common.add_argument("--quiet", action="store_true", help="essential output only")

@@ -3,8 +3,9 @@
 Each oracle takes a different route than the library: brute-force counts,
 the Moebius product over sparse binomials, Sylvester determinants via
 Bareiss elimination, Galois-conjugate folding, multiplication-matrix
-traces, the extended Euclidean inverse over Q, and the Case I search by a
-binary-search p-th root per pair.  They are deliberately slow and simple.
+traces, the extended Euclidean inverse over Q, the Case I search by a
+binary-search p-th root per pair, and Bernoulli numbers by the defining
+recurrence over Fractions.  They are deliberately slow and simple.
 """
 
 import math
@@ -206,6 +207,26 @@ def bisection_case_i_search(p, bound, use_filter=True, x_range=None):
         pruned_by_filter=pruned,
         solutions=tuple(sorted(solutions)),
     )
+
+
+# -- Bernoulli numbers by the defining recurrence ----------------------------------
+
+
+def recurrence_bernoulli(m: int, _table=[Fraction(1)]) -> Fraction:
+    """Exact B_m (B_1 = -1/2), via the recurrence
+
+        B_m = -1/(m+1) * sum_{j=0}^{m-1} C(m+1, j) B_j
+
+    with an append-only memo table; not safe for concurrent first calls."""
+    if m < 0:
+        raise ValueError("index must be >= 0")
+    for i in range(len(_table), m + 1):
+        acc = Fraction(0)
+        for j, bj in enumerate(_table):
+            if bj:
+                acc += math.comb(i + 1, j) * bj
+        _table.append(-acc / (i + 1))
+    return _table[m]
 
 
 def rand_elt(rng, n, lo=-9, hi=9, max_den=1):

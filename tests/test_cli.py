@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -134,6 +137,15 @@ def test_usage_errors_exit_1(capsys, argv):
         (["case1", "5", "--bound", "100000000", "--skip-regularity"], "bound must be in 0..10000"),
         (["case1", "5", "--bound", "10001"], "bound must be in 0..10000"),
         (["case1", str(2**127 - 1), "--bound", "2"], "would exceed"),
+        (["disc", "7", "5"], "oracle takes phi(p^k) <= 2400"),
+        (["disc", "5", "5"], "oracle takes phi(p^k) <= 2400"),
+        (["bernoulli", "3501"], "index must be <= 3500"),
+        (["bernoulli", str(2**127 - 1)], "index must be <= 3500"),
+        (["pairs", "3511"], "p must be <= 3503"),
+        (["pairs", str(2**127 - 1)], "p must be <= 3503"),
+        (["regular", "--upto", "3504"], "--upto must be <= 3503"),
+        (["regular", "--upto", str(2**127 - 1)], "--upto must be <= 3503"),
+        (["case1", "3511", "--bound", "2"], "p must be <= 3503"),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv, fragment):
@@ -150,6 +162,10 @@ def test_oversized_inputs_are_refused_before_work(capsys):
         ["disc", "2", "100000000"],
         ["factor", "2305843009213693951", "1", "1"],
         ["case1", "5", "--bound", "100000000", "--skip-regularity"],
+        ["disc", "7", "5"],
+        ["bernoulli", str(2**127 - 1)],
+        ["pairs", str(2**127 - 1)],
+        ["regular", "--upto", str(2**127 - 1)],
     ]
     start = time.monotonic()
     assert [run(argv) for argv in argvs] == [2] * len(argvs)
@@ -198,3 +214,61 @@ def test_irregular_error_names_pairs(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+# success, usage errors (exit 1) and domain errors (exit 2), interleaved
+MIXED_ARGVS = [
+    ["bernoulli", "12"],
+    ["poly", "x"],
+    ["pairs", "37", "--json"],
+    ["disc", "7", "5"],
+    ["nosuchcommand"],
+    ["regular", "--upto", "40", "--quiet"],
+    ["bernoulli", "-2"],
+    ["--help"],
+    ["elt", "norm", "5:[1,1,0,0]"],
+    ["case1", "5"],
+    ["elt", "inv", "5:[0]"],
+    ["case1", "5", "--bound", "10", "--json"],
+]
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_answers_like_a_fresh_one():
+    fresh = []
+    for argv in MIXED_ARGVS:
+        cli.build_parser.cache_clear()
+        fresh.append(_run_captured(argv))
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+    for _ in range(2):
+        assert [_run_captured(argv) for argv in MIXED_ARGVS] == fresh
+
+
+def test_shared_parser_is_thread_safe():
+    argvs = [argv for argv, _ in GOLDEN_CASES] + JSON_COMMANDS
+    serial = [cli.build_parser().parse_args(argv) for argv in argvs]
+    results = [None] * 4
+    start = threading.Barrier(len(results), timeout=30)
+
+    def work(slot):
+        start.wait()
+        results[slot] = [cli.build_parser().parse_args(argv) for argv in argvs * 5]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial * 5] * len(results)

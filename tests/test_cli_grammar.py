@@ -29,12 +29,6 @@ def tokens(lo, hi):
     return st.one_of(ints(lo, hi), st.sampled_from(JUNK))
 
 
-def small_tokens(lo, hi):
-    """For arguments that have no size limit yet: Bernoulli indices and
-    the primes of the regularity commands."""
-    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(JUNK))
-
-
 scalar = st.one_of(
     st.integers(-4, 4).map(str),
     st.builds(lambda a, b: f"{a}/{b}", st.integers(-4, 4), st.integers(1, 5)),
@@ -51,9 +45,9 @@ literal = st.one_of(
 commands = st.one_of(
     st.tuples(st.just("poly"), tokens(-2, 60)),
     st.tuples(st.just("disc"), tokens(-3, 12), tokens(-1, 2)),
-    st.tuples(st.just("bernoulli"), small_tokens(-3, 80)),
-    st.tuples(st.just("regular"), st.just("--upto"), small_tokens(-1, 60)),
-    st.tuples(st.just("pairs"), small_tokens(-3, 80)),
+    st.tuples(st.just("bernoulli"), tokens(-3, 80)),
+    st.tuples(st.just("regular"), st.just("--upto"), tokens(-1, 60)),
+    st.tuples(st.just("pairs"), tokens(-3, 80)),
     st.tuples(
         st.just("elt"),
         st.sampled_from(["add", "mul", "inv", "norm", "trace", "conj", "is-real", "is-unit", "nope"]),

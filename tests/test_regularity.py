@@ -1,8 +1,13 @@
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
-from cyclo.regularity import bernoulli, irregular_pairs, is_regular_prime, vsc_denominator
+from cyclo import regularity
+from cyclo.regularity import MAX_INDEX, bernoulli, irregular_pairs, is_regular_prime, vsc_denominator
+from oracles import recurrence_bernoulli
 
 
 def mod_p(value: Fraction, p: int) -> int:
@@ -112,8 +117,6 @@ def test_is_regular_prime_rejects_composite():
 
 
 def test_concurrent_readers_see_consistent_table():
-    import threading
-
     results = [None] * 8
     expected = bernoulli(120)
 
@@ -126,3 +129,64 @@ def test_concurrent_readers_see_consistent_table():
     for t in threads:
         t.join()
     assert all(r == (expected, bernoulli(60), 0) for r in results)
+
+
+def _cold_table():
+    """Drop every computed Bernoulli number and rewind the boustrophedon row."""
+    with regularity._lock:
+        del regularity._table[2:]
+        regularity._row[:] = [1]
+
+
+@pytest.mark.parametrize("order", ["ascending", "one_jump"])
+def test_bernoulli_matches_recurrence_oracle(order):
+    _cold_table()
+    if order == "one_jump":
+        bernoulli(600)
+    for m in range(601):
+        got, want = bernoulli(m), recurrence_bernoulli(m)
+        assert got == want and type(got) is type(want), m
+
+
+def test_table_extends_safely_from_threads():
+    targets = (150, 300, 450, 600)
+    _cold_table()
+    serial = [bernoulli(m) for m in range(max(targets) + 1)]
+    _cold_table()
+    results = [None] * len(targets)
+    start = threading.Barrier(len(targets), timeout=30)
+
+    def work(slot):
+        start.wait()
+        bernoulli(targets[slot])
+        results[slot] = [bernoulli(m) for m in range(max(targets) + 1)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(targets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * len(targets)
+
+
+def test_sizes_checked_before_work():
+    huge = 2**127 - 1  # prime; trial division of it does not end
+    computed = len(regularity._table)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"index must be <= {MAX_INDEX}"):
+        bernoulli(MAX_INDEX + 1)
+    with pytest.raises(ValueError, match=f"index must be <= {MAX_INDEX}"):
+        bernoulli(huge)
+    for p in (MAX_INDEX + 4, huge):
+        with pytest.raises(ValueError, match=rf"p must be <= {MAX_INDEX + 3}"):
+            irregular_pairs(p)
+        with pytest.raises(ValueError, match=rf"p must be <= {MAX_INDEX + 3}"):
+            is_regular_prime(p)
+    assert time.monotonic() - start < 1
+    assert len(regularity._table) == computed
