@@ -4,9 +4,10 @@ Every subcommand takes `--json` (exactly one machine-readable JSON object
 on stdout) and `--quiet` (essential output only).  Exit codes: 0 success,
 1 usage error, 2 domain error (bad but well-formed input, e.g. an
 irregular prime in the case1 pipeline, a conductor above MAX_CONDUCTOR, a
-bound above MAX_BOUND, a Bernoulli index above MAX_INDEX, or a `disc`
-field degree above MAX_DISC_PHI), 3 internal invariant violation (a
-verified postcondition failed; never caused by user input).
+bound above MAX_BOUND, a Bernoulli index above MAX_INDEX, a `disc` field
+degree above MAX_DISC_PHI, or an `elt inv` above MAX_INVERSE_WORK), 3
+internal invariant violation (a verified postcondition failed; never
+caused by user input).
 
 Rationals never appear as floats: scalar values serialize as strings like
 `-691/2730`, elements as `n:[c0,c1,...]`, polynomials as `[c0,c1,...]`.

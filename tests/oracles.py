@@ -3,9 +3,10 @@
 Each oracle takes a different route than the library: brute-force counts,
 the Moebius product over sparse binomials, Sylvester determinants via
 Bareiss elimination, Galois-conjugate folding, multiplication-matrix
-traces, the extended Euclidean inverse over Q, the Case I search by a
-binary-search p-th root per pair, and Bernoulli numbers by the defining
-recurrence over Fractions.  They are deliberately slow and simple.
+traces, the extended Euclidean inverse over Q, the inverse by a
+sequential cofactor product over the Galois conjugates, the Case I search
+by a binary-search p-th root per pair, and Bernoulli numbers by the
+defining recurrence over Fractions.  They are deliberately slow and simple.
 """
 
 import math
@@ -153,6 +154,26 @@ def euclid_inverse(a):
         raise InternalInvariantError("nonzero element shares a factor with the modulus")
     c = r1.coeffs[0]
     return CycElt(a.n, [_scalar(Fraction(t) / Fraction(c)) for t in t1.coeffs])
+
+
+def sequential_cofactor_inverse(a):
+    """Multiplicative inverse as m*C / N(A) for A = m*a integral, with the
+    cofactor C = prod of sigma_k(A) over k != 1 coprime to n built by
+    phi(n) - 2 sequential ring products."""
+    if not a:
+        raise ZeroDivisionError("division by zero")
+    n = a.n
+    m = math.lcm(*(c.denominator for c in a.coeffs))
+    ints = [int(c * m) for c in a.coeffs]
+    a = CycElt(n, ints)
+    cof = CycElt.one(n)
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            cof = cof * a.galois(k)
+    norm = (a * cof).coeffs
+    if any(norm[1:]) or not norm[0]:
+        raise InternalInvariantError("conjugate product is not a nonzero rational")
+    return CycElt(n, [Fraction(c * m, norm[0]) for c in cof.coeffs])
 
 
 # -- Case I search by bisection roots --------------------------------------------

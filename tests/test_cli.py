@@ -146,6 +146,9 @@ def test_usage_errors_exit_1(capsys, argv):
         (["regular", "--upto", "3504"], "--upto must be <= 3503"),
         (["regular", "--upto", str(2**127 - 1)], "--upto must be <= 3503"),
         (["case1", "3511", "--bound", "2"], "p must be <= 3503"),
+        (["elt", "inv", "1423:[1,2]"], "inverse work estimate exceeds 4000000"),
+        (["elt", "inv", "99991:[1,1]"], "inverse work estimate exceeds 4000000"),
+        (["elt", "inv", "6006:[1,2]"], "inverse work estimate exceeds 4000000"),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv, fragment):
@@ -166,11 +169,30 @@ def test_oversized_inputs_are_refused_before_work(capsys):
         ["bernoulli", str(2**127 - 1)],
         ["pairs", str(2**127 - 1)],
         ["regular", "--upto", str(2**127 - 1)],
+        ["elt", "inv", "99991:[1,2]"],
+        ["elt", "inv", "6006:[1,2]"],
     ]
     start = time.monotonic()
     assert [run(argv) for argv in argvs] == [2] * len(argvs)
     assert time.monotonic() - start < 5
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1409 is the largest prime whose [1,2] passes ring.MAX_INVERSE_WORK (1423 exits 2)
+        ["elt", "inv", "1409:[1,2]", "--quiet"],
+        ["unit-decompose", "1409", "1409:[1,2,2,1]", "--quiet"],
+        # (1 - zeta^704) / (1 - zeta): many rotations agree on long runs
+        ["unit-decompose", "1409", "1409:[" + ",".join(["1"] * 704) + "]", "--quiet"],
+    ],
+)
+def test_commands_at_the_inverse_cap_end_within_budget(capsys, argv):
+    start = time.monotonic()
+    assert run(argv) == 0
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().out.startswith(("1409:[", "x=1409:["))
 
 
 def test_results_past_the_int_digit_limit_print(capsys):

@@ -9,7 +9,7 @@ from functools import reduce
 import pytest
 
 from cyclo import ring
-from cyclo.errors import ConductorMismatchError, NotIntegralError
+from cyclo.errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
 from cyclo.ntheory import totient
 from cyclo.polys import MAX_CONDUCTOR, Poly, check_conductor, cyclotomic_poly
 from cyclo.ring import (
@@ -19,7 +19,13 @@ from cyclo.ring import (
     is_root_of_unity,
     zeta_pow,
 )
-from oracles import conjugate_product_norm, euclid_inverse, mult_matrix_trace, rand_elt
+from oracles import (
+    conjugate_product_norm,
+    euclid_inverse,
+    mult_matrix_trace,
+    rand_elt,
+    sequential_cofactor_inverse,
+)
 
 RING_CONDUCTORS = (3, 4, 5, 7, 8, 9, 12)
 
@@ -303,6 +309,81 @@ def test_inverse_matches_euclid_oracle(n):
         assert repr(a**-2) == repr(inv * inv)
 
 
+@pytest.mark.parametrize("n", [*range(1, 121), 168, 210])
+def test_inverse_matches_sequential_cofactor_oracle(n):
+    # cyclic unit groups (prime powers, twice a prime power) and groups of
+    # two and three orbit steps; euclid_inverse only where it is cheap
+    rng = random.Random(71 + n)
+    elts = [rand_elt(rng, n), rand_elt(rng, n, max_den=5)]
+    if totient(n) <= 48:
+        elts += [CycElt(n, Fraction(5, -3)), CycElt.zeta(n) + 2]
+    for a in filter(None, elts):
+        inv = sequential_cofactor_inverse(a)
+        assert a.inverse() == inv and repr(a.inverse()) == repr(inv)
+        assert repr(3 / a) == repr(inv * 3)
+        assert repr(a**-2) == repr(inv * inv)
+        if totient(n) <= 16:
+            assert repr(inv) == repr(euclid_inverse(a))
+
+
+def test_orbit_steps_examples():
+    assert ring._orbit_steps(1) == ring._orbit_steps(2) == ()
+    assert ring._orbit_steps(7) == ((2, 3), (3, 2))
+    assert ring._orbit_steps(11) == ((2, 10),)
+    assert ring._orbit_steps(8) == ((3, 2), (5, 2))
+    assert ring._orbit_steps(84) == ((5, 6), (11, 2), (13, 2))
+
+
+def test_orbit_steps_cover_the_group():
+    for n in range(1, 501):
+        steps = ring._orbit_steps(n)
+        cosets = [1 % n]
+        for g, o in steps:
+            assert g == min(k for k in range(n) if math.gcd(k, n) == 1 and k not in cosets)
+            assert pow(g, o, n) in cosets and all(pow(g, j, n) not in cosets for j in range(1, o))
+            cosets = [h * pow(g, j, n) % n for j in range(o) for h in cosets]
+        assert sorted(cosets) == [k for k in range(n) if math.gcd(k, n) == 1]
+        assert math.prod(o for _, o in steps) == totient(n)
+
+
+def test_mul_vecs_matches_fraction_schoolbook():
+    rng = random.Random(73)
+    for n in (1, 3, 5, 8, 12, 15, 21):
+        phi = cyclotomic_poly(n)
+        for _ in range(20):
+            a, b = (rand_elt(rng, n, max_den=rng.choice((1, 4))).coeffs for _ in range(2))
+            prod = [Fraction(0)] * (2 * len(a) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    prod[i + j] += Fraction(x) * Fraction(y)
+            rem = (Poly(prod) % phi).coeffs
+            want = rem + (0,) * (phi.degree - len(rem))
+            got = ring._mul_vecs(n, a, b)
+            assert got == want
+            assert [type(c) for c in got] == [type(c) for c in want]
+    # integral products of p/q inputs come back as int
+    prod = ring._mul_vecs(3, (Fraction(1, 2), Fraction(3, 4)), (4, 0))
+    assert prod == (2, 3) and all(type(c) is int for c in prod)
+
+
+def test_inverse_refuses_large_work_before_any_product(monkeypatch):
+    def no_products(*args):
+        raise AssertionError("a ring product ran before the size check")
+
+    monkeypatch.setattr(ring, "_mul_vecs", no_products)
+    for lit in ("1423:[1,2]", "6006:[1,2]", "99991:[1,1]", "131:[" + ",".join([str(10**400)] * 2) + "]"):
+        a = CycElt.parse(lit)
+        for attempt in (a.inverse, lambda: 1 / a, lambda: a**-1):
+            with pytest.raises(ValueError, match="inverse work estimate exceeds"):
+                attempt()
+
+
+def test_inverse_work_estimate_at_the_cap():
+    # [1,2] at p: d = p - 1, bits(|A|_1) = bits(3) = 2, Phi_p has w = p terms, n - d = 1
+    assert ring._inverse_work(1409, [1, 2] + [0] * 1406) == 2 * (1408**2 + 1409) <= ring.MAX_INVERSE_WORK
+    assert ring._inverse_work(1423, [1, 2] + [0] * 1420) > ring.MAX_INVERSE_WORK
+
+
 def test_is_unit_examples():
     z = CycElt.zeta(5)
     assert CycElt.one(5).is_unit()
@@ -338,7 +419,7 @@ def test_caches_are_thread_safe():
     rng = random.Random(61)
     elts = [rand_elt(rng, n, max_den=3) for n in (7, 9, 12, 15, 16, 20, 21)]
     serial = [(a.inverse(), a.trace()) for a in elts]
-    for cache in (ring._ramanujan_sums, cyclotomic_poly):
+    for cache in (ring._ramanujan_sums, ring._orbit_steps, cyclotomic_poly):
         cache.cache_clear()
     results = [None] * 4
     start = threading.Barrier(len(results), timeout=30)
@@ -409,6 +490,41 @@ def test_decompose_unit_rejects_non_units():
         decompose_unit(CycElt.one(4))
     with pytest.raises(NotIntegralError):
         decompose_unit(CycElt(5, Fraction(1, 2)))
+
+
+def test_decompose_unit_calls_no_inverse(monkeypatch):
+    def no_inverse(self):
+        raise AssertionError("decompose_unit called inverse")
+
+    z = CycElt.zeta(7)
+    u = -(z**3) * cyclotomic_unit(7, 3)
+    monkeypatch.setattr(CycElt, "inverse", no_inverse)
+    d = decompose_unit(u)
+    assert d.x * z**d.m == u and d.x.is_real()
+
+
+@pytest.mark.parametrize("p", [3, 5, 11, 13, 31, 101])
+def test_decompose_unit_matches_brute_force(p):
+    rng = random.Random(79 + p)
+    z = CycElt.zeta(p)
+    for _ in range(6):
+        u = CycElt.one(p)
+        for _ in range(rng.randint(0, 2)):
+            u = u * cyclotomic_unit(p, rng.randint(2, p - 1))
+        u = rng.choice((1, -1)) * z ** rng.randrange(p) * u
+        d = decompose_unit(u)
+        assert [m for m in range(p) if (u * zeta_pow(p, -m)).is_real()] == [d.m]
+        assert d.x * z**d.m == u
+
+
+def test_decompose_unit_error_branches(monkeypatch):
+    # only a non-unit can reach them, so the unit test is bypassed
+    monkeypatch.setattr(CycElt, "is_unit", lambda self: True)
+    z = CycElt.zeta(5)
+    with pytest.raises(InternalInvariantError, match="decomposition impossible"):
+        decompose_unit(z**2 * (z - z**4))  # equal to -zeta^4 times its conjugate
+    with pytest.raises(InternalInvariantError, match="not a root of unity"):
+        decompose_unit(2 + z)
 
 
 # -- the factorization identity -------------------------------------------------------
