@@ -195,6 +195,23 @@ def test_commands_at_the_inverse_cap_end_within_budget(capsys, argv):
     assert capsys.readouterr().out.startswith(("1409:[", "x=1409:["))
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        # 1 + zeta near the conductor cap; its real part x = zeta^-m (1 + zeta)
+        # is sparse, with support half-way up the power basis
+        (["unit-decompose", "99991", "99991:[1,1]", "--quiet"], "x=99991:["),
+        (["elt", "norm", "99991:[1,1]", "--quiet"], "1\n"),
+        (["elt", "is-unit", "99991:[1,1]", "--quiet"], "true\n"),
+    ],
+)
+def test_sparse_units_at_the_conductor_cap_end_within_budget(capsys, argv, prefix):
+    start = time.monotonic()
+    assert run(argv) == 0
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().out.startswith(prefix)
+
+
 def test_results_past_the_int_digit_limit_print(capsys):
     p = 16007  # the norm of 1 + 2 zeta_p is (2^p + 1) / 3, 4819 digits
     limit = sys.get_int_max_str_digits()

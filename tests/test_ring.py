@@ -11,7 +11,7 @@ import pytest
 from cyclo import ring
 from cyclo.errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
 from cyclo.ntheory import totient
-from cyclo.polys import MAX_CONDUCTOR, Poly, check_conductor, cyclotomic_poly
+from cyclo.polys import MAX_CONDUCTOR, Poly, check_conductor, cyclotomic_poly, resultant
 from cyclo.ring import (
     CycElt,
     decompose_unit,
@@ -350,8 +350,11 @@ def test_mul_vecs_matches_fraction_schoolbook():
     rng = random.Random(73)
     for n in (1, 3, 5, 8, 12, 15, 21):
         phi = cyclotomic_poly(n)
-        for _ in range(20):
+        sparse = [CycElt(n, 3), zeta_pow(n, n - 1), CycElt(n, Fraction(2, 3)) + zeta_pow(n, n // 2) * 5]
+        for k in range(20):
             a, b = (rand_elt(rng, n, max_den=rng.choice((1, 4))).coeffs for _ in range(2))
+            if k < 2 * len(sparse):  # a sparse factor on either side
+                a, b = (a, sparse[k // 2].coeffs)[:: 1 - 2 * (k % 2)]
             prod = [Fraction(0)] * (2 * len(a) - 1)
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
@@ -408,6 +411,91 @@ def test_is_root_of_unity_examples():
     assert is_root_of_unity(1 + z) == (False, None)
 
 
+def _full_degree_norm(a):
+    """N(a) as Res(Phi_n, A) / m^phi(n), with a = A/m: the route that
+    `norm` takes above MAX_REAL_NORM_PHI, called here through `resultant`."""
+    if not a:
+        return 0
+    m = math.lcm(*(Fraction(c).denominator for c in a.coeffs))
+    r = resultant(cyclotomic_poly(a.n), Poly([c * m for c in a.coeffs]))
+    q = Fraction(r, m ** len(a.coeffs))
+    return int(q) if q.denominator == 1 else q
+
+
+def _norm_test_elements(rng, n, width, max_shift):
+    """Integer, p/q, sparse and zeta^j-shifted sparse elements: the first
+    three have their nonzero coordinates in the first `width` places, and
+    the last is the sparse one times zeta^j, 0 <= j < max_shift."""
+    d = totient(n)
+    w = min(width, d)
+    sparse = [rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(w)]
+    return [
+        CycElt(n, [rng.randint(-9, 9) for _ in range(w)]),
+        CycElt(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(w)]),
+        CycElt(n, sparse),
+        CycElt(n, sparse) * zeta_pow(n, rng.randrange(max_shift)),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 151))
+def test_norm_matches_full_degree_resultant(n):
+    rng = random.Random(83 + n)
+    for a in _norm_test_elements(rng, n, totient(n), n):
+        got = a.norm()
+        want = _full_degree_norm(a)
+        assert got == want and type(got) is type(want)
+        if totient(n) <= 24:
+            assert got == conjugate_product_norm(a)
+
+
+# conductors whose phi(n) straddles the bound, a prime and a composite on each
+# side: 997 (phi 996), 1111 (1000), 1009 (1008), 1073 (1008)
+NEAR_REAL_NORM_BOUND = (997, 1111, 1009, 1073)
+
+
+@pytest.mark.parametrize("n", NEAR_REAL_NORM_BOUND)
+def test_norm_near_the_real_subfield_bound(n, monkeypatch):
+    assert {totient(k) <= ring.MAX_REAL_NORM_PHI for k in NEAR_REAL_NORM_BOUND} == {True, False}
+    degrees = []
+
+    def recording_resultant(f, g):
+        degrees.append(f.degree)
+        return resultant(f, g)
+
+    rng = random.Random(89 + n)
+    elts = _norm_test_elements(rng, n, 12, 40) + [CycElt(n, [1, 2]), CycElt(n, [3, 0, -1]) * zeta_pow(n, n // 2)]
+    wants = [_full_degree_norm(a) for a in elts]
+    monkeypatch.setattr(ring, "resultant", recording_resultant)
+    for a, want in zip(elts, wants):
+        got = a.norm()
+        assert got == want and type(got) is type(want)
+    d = totient(n)
+    assert degrees == [d // 2 if d <= ring.MAX_REAL_NORM_PHI else d] * len(elts)
+
+
+@pytest.mark.parametrize("n", [*range(3, 80), 210, 997, 1111])
+def test_real_cyclotomic_lifts_to_cyclotomic(n):
+    # X^(phi/2) * Psi_n(X + 1/X) = sum psi_k * (X^2 + 1)^k * X^(phi/2 - k) = Phi_n
+    psi = ring._real_cyclotomic(n)
+    half = totient(n) // 2
+    assert psi.degree == half and psi.is_monic()
+    lifted, power = Poly(), Poly([1])
+    for k, c in enumerate(psi.coeffs):
+        lifted = lifted + Poly.monomial(half - k, c) * power
+        power = power * Poly([1, 0, 1])
+    assert lifted == cyclotomic_poly(n)
+
+
+def test_theta_form_examples():
+    # V_1 = theta, V_2 = theta^2 - 2, V_3 = theta^3 - 3 theta
+    assert ring._theta_form([5]) == [5]
+    assert ring._theta_form([0, 1]) == [0, 1]
+    assert ring._theta_form([0, 0, 1]) == [-2, 0, 1]
+    assert ring._theta_form([1, 2, 3, 4]) == [1 - 6, 2 - 12, 3, 4]
+    assert ring._real_cyclotomic(5) == Poly([-1, 1, 1])  # theta^2 + theta - 1
+    assert ring._real_cyclotomic(8) == Poly([-2, 0, 1])  # (zeta_8 + zeta_8^-1)^2 = 2
+
+
 def test_is_real_examples():
     z = CycElt.zeta(5)
     assert CycElt(5, Fraction(7, 3)).is_real()
@@ -418,15 +506,15 @@ def test_is_real_examples():
 def test_caches_are_thread_safe():
     rng = random.Random(61)
     elts = [rand_elt(rng, n, max_den=3) for n in (7, 9, 12, 15, 16, 20, 21)]
-    serial = [(a.inverse(), a.trace()) for a in elts]
-    for cache in (ring._ramanujan_sums, ring._orbit_steps, cyclotomic_poly):
+    serial = [(a.inverse(), a.trace(), a.norm()) for a in elts]
+    for cache in (ring._ramanujan_sums, ring._orbit_steps, ring._real_cyclotomic, cyclotomic_poly):
         cache.cache_clear()
     results = [None] * 4
     start = threading.Barrier(len(results), timeout=30)
 
     def work(slot):
         start.wait()
-        results[slot] = [(a.inverse(), a.trace()) for a in elts]
+        results[slot] = [(a.inverse(), a.trace(), a.norm()) for a in elts]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
     interval = sys.getswitchinterval()
