@@ -5,7 +5,8 @@ on stdout) and `--quiet` (essential output only).  Exit codes: 0 success,
 1 usage error, 2 domain error (bad but well-formed input, e.g. an
 irregular prime in the case1 pipeline, a conductor above MAX_CONDUCTOR, a
 bound above MAX_BOUND, a Bernoulli index above MAX_INDEX, a `disc` field
-degree above MAX_DISC_PHI, or an `elt inv` above MAX_INVERSE_WORK), 3
+degree above MAX_DISC_PHI, an `elt inv` above MAX_INVERSE_WORK, or a norm,
+unit test or unit decomposition above MAX_NORM_WORK), 3
 internal invariant violation (a verified postcondition failed; never
 caused by user input).
 

@@ -9,22 +9,42 @@ exhaustive up to the bound.
 
 The optional pruning filter uses t^p = t (mod p): any solution has
 z = z^p = x^p + y^p = x + y (mod p), so a pair with p | x + y would force
-p | z and cannot yield a coprime solution.  The filter tests the pair
-alone, before any z is looked for, so `pruned_by_filter` counts pairs.
+p | z and cannot yield a coprime solution.  `pruned_by_filter` counts these
+pairs, with p prime to x and y, in closed form: for each such x, the y in
+x..bound with y = -x (mod p).
 
-z needs no root extraction: z^p = x^p + y^p < 2y^p gives z < 2y, and for a
-fixed x it grows with y, so one pointer walks forward through the list of
-p-th powers of 0..2*bound.  The search is partitionable over disjoint
-x-ranges with a deterministic merge.
+Most pairs are ruled out without being looked at.  For each x one int bit
+mask over y keeps the y that pass three sound sieves, all as whole-int
+operations:
+
+- y prime to p and, with the filter, p not dividing x + y (two masks of
+  period p, the second shifted by x mod p);
+- for each of the first four primes q = 1 (mod p) with q <= 2*bound + 1,
+  x^p + y^p must be a p-th-power residue mod q, 0 included, as z^p is.  The
+  y that pass have period q and depend on x only through x^p mod q; the
+  period-q patterns are cached per (p, q).  This is the auxiliary-prime
+  argument behind Sophie Germain's theorem (Ribenboim, 13 Lectures on
+  Fermat's Last Theorem, Lecture IV);
+- the size cut y <= top(x): z >= y + 1 needs (y+1)^p - y^p <= x^p, and
+  top(x) is a pointer that never decreases as x grows.
+
+Each y that survives is tested exactly: z^p = x^p + y^p <= 2*y^p gives
+z <= 2^(1/p) * y, and z is found by bisection in the list of p-th powers
+from the first x the size cut admits up to the least Z with
+Z^p > 2*bound^p, starting from the z of the previous y.  The search is
+partitionable over disjoint x-ranges with a deterministic merge.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from .regularity import is_regular_prime
 from .errors import IrregularPrimeError
-from .ntheory import check_odd_prime
+from .ntheory import check_odd_prime, is_prime
 
 __all__ = [
     "MAX_BOUND",
@@ -35,9 +55,10 @@ __all__ = [
     "merge_reports",
 ]
 
-# Largest accepted bound (a search tests bound*(bound+1)/2 pairs), and size in
-# bits of the list of p-th powers of 0..2*bound, taken as 2*bound + 1 entries
-# of p * bit_length(2*bound + 1) bits each.
+# Largest accepted bound (a search covers bound*(bound+1)/2 pairs), and a
+# limit on the size in bits of the p-th powers the search builds, estimated
+# as 2*bound + 1 entries of p * bit_length(2*bound + 1) bits each (the list
+# holds at most 2^(1/p) * bound + 1 of them).
 MAX_BOUND, MAX_POWER_BITS = 10_000, 1 << 30
 
 
@@ -60,6 +81,89 @@ def _check_search(p, bound):
     check_odd_prime(p)
 
 
+def _auxiliary_primes(p, bound):
+    """The first four primes q = 1 (mod p) with q <= 2*bound + 1."""
+    return list(islice(filter(is_prime, range(2 * p + 1, 2 * bound + 2, 2 * p)), 4))
+
+
+@functools.cache
+def _residue_patterns(p, q):
+    """{a: bits} over the p-th-power residues a mod q, 0 included, for a
+    prime q = 1 (mod p): bit r of bits is set when a + r^p mod q is again
+    such a residue, so a pair with x^p = a (mod q) can only be a solution
+    when y mod q is a set bit."""
+    classes = {}
+    for r in range(q):
+        c = pow(r, p, q)
+        classes[c] = classes.get(c, 0) | 1 << r
+    return {a: sum(bits for c, bits in classes.items() if (a + c) % q in classes) for a in classes}
+
+
+def _periodic(bits, period, length):
+    """bits, whose set bits lie below `period`, repeated with that period
+    over at least `length` bits."""
+    while period < length:
+        bits |= bits << period
+        period *= 2
+    return bits
+
+
+def _least(holds, lo, hi):
+    """The least v in lo..hi with holds(v), else max(lo, hi + 1), by
+    bisection; holds must be monotone (false, then true)."""
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _powers(p, bound, lo, hi):
+    """(start, pth): start is the least x in lo..hi that the size cut
+    admits, i.e. with (x+1)^p - x^p <= x^p (start > hi if there is none), and
+    pth lists the p-th powers of start..Z for the least Z with
+    Z^p > 2*bound^p (Z > bound), or nothing when start > hi."""
+    start = _least(lambda x: (x + 1) ** p <= 2 * x**p, lo, hi)
+    if start > hi:
+        return start, []
+    limit = 2 * bound**p
+    top_z = _least(lambda z: z**p > limit, bound + 1, 2 * bound)
+    return start, [v**p for v in range(start, top_z + 1)]
+
+
+def _sieve(p, bound, use_filter, start, hi, pth):
+    """(x, ys) for each x in start..hi prime to p that keeps some y, where
+    ys lists ascending the y in x..bound that pass every sieve: y prime to
+    p, p not dividing x + y with the filter, x^p + y^p a p-th-power residue
+    or 0 mod each auxiliary prime, and y <= top(x).  (start, pth) is
+    `_powers(p, bound, lo, hi)`."""
+    coprime = _periodic((1 << p) - 2, p, bound + 1 + p)
+    sieves = [(q, _residue_patterns(p, q), {}) for q in _auxiliary_primes(p, bound)]
+    top = start - 1
+    for x in range(start, hi + 1):
+        if x % p == 0:
+            continue
+        xp = pth[x - start]
+        while top < bound and pth[top + 2 - start] - pth[top + 1 - start] <= xp:
+            top += 1
+        mask = coprime & (coprime >> x % p) if use_filter else coprime
+        for q, patterns, expanded in sieves:
+            a = pow(x, p, q)
+            if a not in expanded:
+                expanded[a] = _periodic(patterns[a], q, bound + 1)
+            mask &= expanded[a]
+        bits = format((mask & (1 << top + 1) - (1 << x)) >> x, "b")[::-1]  # bits[i]: y = x + i
+        ys, i = [], bits.find("1")
+        while i >= 0:
+            ys.append(x + i)
+            i = bits.find("1", i + 1)
+        if ys:
+            yield x, ys
+
+
 def case_i_search(p: int, bound: int, use_filter: bool = True, x_range=None) -> SearchReport:
     """Search the box 1 <= x <= y <= bound for x^p + y^p = z^p with
     gcd(xyz, p) = 1.  `x_range = (lo, hi)` restricts x to a chunk for
@@ -69,26 +173,22 @@ def case_i_search(p: int, bound: int, use_filter: bool = True, x_range=None) -> 
     _check_search(p, bound)
     lo, hi = x_range if x_range is not None else (1, bound)
     lo, hi = max(lo, 1), min(hi, bound)
-    candidates = 0
+    candidates = max(0, hi - lo + 1) * (2 * bound + 2 - lo - hi) // 2
     pruned = 0
+    if use_filter:
+        for x in range(lo, hi + 1):
+            first = x + (-2 * x) % p  # least y >= x with y = -x (mod p)
+            if x % p and first <= bound:
+                pruned += (bound - first) // p + 1
     solutions = []
-    pth = [v**p for v in range(2 * bound + 1)]
-    for x in range(lo, hi + 1):
-        candidates += bound - x + 1
-        if x % p == 0:
-            continue
-        xp, z = pth[x], x
-        for y in range(x, bound + 1):
-            if y % p == 0:
-                continue
-            if use_filter and (x + y) % p == 0:
-                pruned += 1
-                continue
-            s = xp + pth[y]
-            while pth[z] < s:
-                z += 1
-            if pth[z] == s and z % p:
-                solutions.append((x, y, z))
+    start, pth = _powers(p, bound, lo, hi)
+    for x, ys in _sieve(p, bound, use_filter, start, hi, pth):
+        xp, z = pth[x - start], x + 1 - start
+        for y in ys:
+            s = xp + pth[y - start]
+            z = bisect_left(pth, s, z)  # z^p >= s, from the z of the last y
+            if pth[z] == s and (z + start) % p:
+                solutions.append((x, y, z + start))
     return SearchReport(
         p=p,
         bound=bound,

@@ -49,6 +49,7 @@ from .polys import Poly, _scalar, check_conductor, cyclotomic_poly, format_scala
 
 __all__ = [
     "MAX_INVERSE_WORK",
+    "MAX_NORM_WORK",
     "CycElt",
     "UnitDecomposition",
     "decompose_unit",
@@ -214,6 +215,44 @@ def _inverse_work(n, ints):
     d = len(ints)
     w = sum(1 for c in cyclotomic_poly(n).coeffs if c)
     return sum(map(abs, ints)).bit_length() * (d * d + (n - d) * w)
+
+
+# Largest `_norm_work` that `norm` (so also `is_unit`, `decompose_unit` and
+# the `elt norm`, `elt is-unit` and `unit-decompose` commands) accepts.  On a
+# 2-vCPU Xeon VM with Python 3.11, norms of dense elements (primes 151-1009,
+# coordinates up to 10^6) took 3-5 s per billion of the estimate, elements
+# whose coordinates fill a block of d/4 to d/64 places 7-15 s per billion,
+# and products of 3 or 10 cyclotomic units under 0.2 s per billion, since
+# the estimate bounds the size of their norm by the worst case.  Just inside
+# the limit the slowest of twelve element shapes, a block of d/8 small
+# coordinates at p = 1381, took 7.2 s; a dense element at p = 643 took 2.1 s.
+MAX_NORM_WORK = 600_000_000
+
+
+def _norm_work(n, d, a, real, squares, lag1):
+    """An estimate of the cost of the resultant that `norm` takes for the
+    windowed integer coordinates a (a[0], a[-1] != 0), with
+    squares = sum a_i^2 and lag1 = sum a_i * a_(i+1), in word operations
+    plus bits held.  m >= k are the degrees of the two polynomials and lead
+    the leading coefficient of the element's one.  The first
+    pseudo-remainder scales an (m+1)-entry copy by lead^(m-k+1), and the
+    subresultant chain makes about k^2 products of numbers as large as the
+    norm, whose size is bounded by d * log2 |B|_2 for B = A and for
+    B = A * (1 - zeta) (with N(1 - zeta) >= 1); the second is far smaller
+    for runs such as the cyclotomic unit 1 + zeta + ... + zeta^(j-1)."""
+    if real:
+        deg_f, deg_g, lead = d // 2, min(len(a), n // 2 + 1) - 1, a[0] * a[-1]
+    else:
+        deg_f, deg_g, lead = d, len(a) - 1, a[-1]
+    m, k = max(deg_f, deg_g), min(deg_f, deg_g)
+    steps = 2 * (squares - lag1)  # |A * (1 - X)|_2^2
+    size = d * min(squares, steps).bit_length() // 2
+    if k == 0:  # the resultant is a single power
+        return size
+    lam = abs(lead).bit_length() - 1 if deg_g <= deg_f else 0
+    w = 1 + (size + (m - k) * lam) // 64
+    w1 = 1 + (m - k + 1) * lam // 64
+    return k * k * w * w + (m - k + 1) * k * w1 + (m + 1) * (m - k + 1) * lam + size
 
 
 class CycElt:
@@ -385,7 +424,8 @@ class CycElt:
         autocorrelation sum A_i * A_(i+k) (k > n/2 folded onto n - k), so
         N(A) = Res(Psi_n, B) for B the theta-form of c: a resultant of half
         the degree.  Above the bound, where building Psi_n costs more than
-        it saves, N(A) = Res(Phi_n, A).
+        it saves, N(A) = Res(Phi_n, A).  An element whose `_norm_work`
+        exceeds MAX_NORM_WORK is refused before any resultant.
 
         >>> CycElt.parse('7:[1,2]').norm() == 43
         True
@@ -394,17 +434,21 @@ class CycElt:
             return 0
         n, d = self.n, len(self.coeffs)
         m, ints = _cleared(self.coeffs)
-        support = [i for i, c in enumerate(ints) if c]
-        a = ints[support[0] : support[-1] + 1]
-        if n > 2 and d <= MAX_REAL_NORM_PHI:
+        nonzero = list(map(bool, ints))
+        a = ints[nonzero.index(True) : d - nonzero[::-1].index(True)]
+        real = n > 2 and d <= MAX_REAL_NORM_PHI
+        squares, lag1 = sum(map(operator.mul, a, a)), sum(map(operator.mul, a, a[1:]))
+        if _norm_work(n, d, a, real, squares, lag1) > MAX_NORM_WORK:
+            raise ValueError(f"norm work estimate exceeds {MAX_NORM_WORK}")
+        if real:
             half = n // 2
-            c = [0] * min(len(a), half + 1)
-            for k in range(len(a)):
+            c = [squares, lag1][: len(a)] + [0] * (min(len(a), half + 1) - 2)
+            for k in range(2, len(a)):
                 c[k if k <= half else n - k] += sum(map(operator.mul, a, a[k:]))
             r = resultant(_real_cyclotomic(n), Poly(_theta_form(c)))
         else:
             r = resultant(cyclotomic_poly(n), Poly(a))
-        return _scalar(Fraction(r, m**d))
+        return r if m == 1 else _scalar(Fraction(r, m**d))
 
     def trace(self):
         """Field trace down to Q: the sum of all Galois conjugates, taken
@@ -524,6 +568,13 @@ def decompose_unit(u: CycElt) -> UnitDecomposition:
 
 def factor_sum_pth_powers(x: int, y: int, p: int) -> list[CycElt]:
     """The p factors (x + zeta^i * y), i = 0..p-1, whose product is the
-    scalar x^p + y^p in Q(zeta_p)."""
+    scalar x^p + y^p in Q(zeta_p).  Each factor is one reduction of the
+    coordinates of x + y * X^i, written into a single list."""
     check_odd_prime(check_conductor(p))
-    return [CycElt(p, (x,)) + zeta_pow(p, i) * y for i in range(p)]
+    raw = [x] + [0] * (p - 1)
+    factors = []
+    for i in range(p):
+        raw[i] += y
+        factors.append(CycElt._of(p, _reduce(p, raw)))
+        raw[i] -= y
+    return factors

@@ -5,8 +5,9 @@ the Moebius product over sparse binomials, Sylvester determinants via
 Bareiss elimination, Galois-conjugate folding, multiplication-matrix
 traces, the extended Euclidean inverse over Q, the inverse by a
 sequential cofactor product over the Galois conjugates, the Case I search
-by a binary-search p-th root per pair, and Bernoulli numbers by the
-defining recurrence over Fractions.  They are deliberately slow and simple.
+by a binary-search p-th root per pair and by a z-pointer over every pair,
+and Bernoulli numbers by the defining recurrence over Fractions.  They are
+deliberately slow and simple.
 """
 
 import math
@@ -227,6 +228,41 @@ def bisection_case_i_search(p, bound, use_filter=True, x_range=None):
         candidates_examined=candidates,
         pruned_by_filter=pruned,
         solutions=tuple(sorted(solutions)),
+    )
+
+
+def pointer_walk_case_i_search(p, bound, use_filter=True, x_range=None):
+    """The Case I box search over every pair: for each x, one pointer walks
+    forward through the p-th powers of 0..2*bound to the least z with
+    z^p >= x^p + y^p (z < 2y, and z grows with y); p must be an odd prime."""
+    lo, hi = x_range if x_range is not None else (1, bound)
+    lo, hi = max(lo, 1), min(hi, bound)
+    candidates = 0
+    pruned = 0
+    solutions = []
+    pth = [v**p for v in range(2 * bound + 1)]
+    for x in range(lo, hi + 1):
+        candidates += bound - x + 1
+        if x % p == 0:
+            continue
+        xp, z = pth[x], x
+        for y in range(x, bound + 1):
+            if y % p == 0:
+                continue
+            if use_filter and (x + y) % p == 0:
+                pruned += 1
+                continue
+            s = xp + pth[y]
+            while pth[z] < s:
+                z += 1
+            if pth[z] == s and z % p:
+                solutions.append((x, y, z))
+    return SearchReport(
+        p=p,
+        bound=bound,
+        candidates_examined=candidates,
+        pruned_by_filter=pruned,
+        solutions=tuple(solutions),
     )
 
 

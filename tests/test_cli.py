@@ -149,6 +149,10 @@ def test_usage_errors_exit_1(capsys, argv):
         (["elt", "inv", "1423:[1,2]"], "inverse work estimate exceeds 4000000"),
         (["elt", "inv", "99991:[1,1]"], "inverse work estimate exceeds 4000000"),
         (["elt", "inv", "6006:[1,2]"], "inverse work estimate exceeds 4000000"),
+        (["elt", "norm", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
+        (["elt", "is-unit", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
+        (["unit-decompose", "40009", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
+        (["elt", "norm", "1009:[" + ",".join(["3", "-7"] * 504) + "]"], "norm work estimate exceeds"),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv, fragment):
@@ -171,6 +175,9 @@ def test_oversized_inputs_are_refused_before_work(capsys):
         ["regular", "--upto", str(2**127 - 1)],
         ["elt", "inv", "99991:[1,2]"],
         ["elt", "inv", "6006:[1,2]"],
+        # the first pseudo-remainder of Phi_99991 by 1 + 2X holds 1.25 GB
+        ["elt", "norm", "99991:[1,2]"],
+        ["unit-decompose", "99991", "99991:[1,2]"],
     ]
     start = time.monotonic()
     assert [run(argv) for argv in argvs] == [2] * len(argvs)
@@ -210,6 +217,23 @@ def test_sparse_units_at_the_conductor_cap_end_within_budget(capsys, argv, prefi
     assert run(argv) == 0
     assert time.monotonic() - start < 10
     assert capsys.readouterr().out.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        # the bound cap; 3571 is the largest prime whose powers pass MAX_POWER_BITS there
+        (["case1", "3", "--bound", "10000"], "p=3 bound=10000 candidates=50005000 "),
+        (["case1", "5", "--bound", "10000", "--skip-regularity"], "p=5 bound=10000 "),
+        (["case1", "3571", "--bound", "10000", "--skip-regularity"], "p=3571 bound=10000 "),
+    ],
+)
+def test_case1_at_the_bound_cap_ends_within_budget(capsys, argv, prefix):
+    start = time.monotonic()
+    assert run(argv) == 0
+    assert time.monotonic() - start < 10
+    out = capsys.readouterr().out
+    assert out.startswith(prefix) and out.endswith(" solutions=0\n")
 
 
 def test_results_past_the_int_digit_limit_print(capsys):

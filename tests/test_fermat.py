@@ -1,8 +1,11 @@
 import math
+import sys
+import threading
 
 import pytest
 
 from cyclo.errors import IrregularPrimeError
+from cyclo import fermat
 from cyclo.fermat import (
     MAX_BOUND,
     MAX_POWER_BITS,
@@ -10,7 +13,7 @@ from cyclo.fermat import (
     check_regular_and_search,
     merge_reports,
 )
-from oracles import bisection_case_i_search, perfect_pth_root
+from oracles import bisection_case_i_search, perfect_pth_root, pointer_walk_case_i_search
 
 
 @pytest.mark.parametrize("s,p,expected", [(32, 5, 2), (33, 5, None), (1, 7, 1)])
@@ -117,16 +120,22 @@ def test_pipeline_rejects_two():
 X_RANGES = [None, (1, 1), (3, 9), (-4, 2), (0, 100), (12, 40), (9, 3), (41, 60)]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
 def test_search_matches_bisection_oracle(p):
-    # No Case I solution exists, so this pins the counters and that the
-    # z-pointer stays inside the power list for every box and chunk.
+    # No Case I solution exists, so this pins the counters and that z stays
+    # inside the power list for every box and chunk, against both oracles.
+    # The chunk edges sit on each side of the first x the size cut admits,
+    # which ends the chunks that build no power list; 101 has no auxiliary
+    # prime in these boxes.
     for bound in (0, 1, 2, 3, 6, 13, 27, 40):
+        first = fermat._powers(p, bound, 1, bound)[0]
+        edges = [(first - 1, first - 1), (first, first), (1, first - 1), (first, bound)]
         for use_filter in (True, False):
-            for x_range in X_RANGES:
+            for x_range in X_RANGES + edges:
                 got = case_i_search(p, bound, use_filter=use_filter, x_range=x_range)
                 want = bisection_case_i_search(p, bound, use_filter=use_filter, x_range=x_range)
                 assert got == want, (p, bound, use_filter, x_range)
+                assert got == pointer_walk_case_i_search(p, bound, use_filter, x_range)
 
 
 def test_search_size_checked_before_work():
@@ -143,3 +152,147 @@ def test_search_size_checked_before_work():
         with pytest.raises(ValueError, match=str(MAX_POWER_BITS)):
             check_regular_and_search(huge_prime, bound)
     assert case_i_search(3, MAX_BOUND, x_range=(MAX_BOUND, MAX_BOUND)).candidates_examined == 1
+
+
+# -- the sieve ------------------------------------------------------------------
+
+
+def _aux_primes_brute(p, bound):
+    qs = [q for q in range(3, 2 * bound + 2) if q % p == 1 and all(q % d for d in range(2, q))]
+    return qs[:4]
+
+
+SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_residue_patterns_match_brute_force(p):
+    # the first four auxiliary primes at the bound cap, class by class
+    qs = fermat._auxiliary_primes(p, MAX_BOUND)
+    assert qs == _aux_primes_brute(p, 40 * p)
+    for q in qs:
+        residues = {pow(r, p, q) for r in range(q)}
+        patterns = fermat._residue_patterns(p, q)
+        assert set(patterns) == residues
+        assert 0 in residues and len(residues) == (q - 1) // p + 1
+        for a, bits in patterns.items():
+            assert bits < 1 << q
+            want = {r for r in range(q) if (a + pow(r, p, q)) % q in residues}
+            assert {r for r in range(q) if bits >> r & 1} == want, (p, q, a)
+        # the expanded mask keeps the period
+        for a, bits in patterns.items():
+            wide = fermat._periodic(bits, q, 5 * q + 3)
+            assert all((wide >> y & 1) == (bits >> (y % q) & 1) for y in range(5 * q + 3))
+
+
+def test_auxiliary_primes_stay_below_twice_the_bound():
+    assert fermat._auxiliary_primes(5, 360) == [11, 31, 41, 61]
+    assert fermat._auxiliary_primes(101, 302) == []  # 607 = 6 * 101 + 1 is the first
+    assert fermat._auxiliary_primes(101, 303) == [607]
+    assert fermat._auxiliary_primes(3571, MAX_BOUND) == []  # 7143 and 14285 are composite
+    for p in SMALL_PRIMES:
+        for bound in (0, 1, 5, 17, 60):
+            assert fermat._auxiliary_primes(p, bound) == _aux_primes_brute(p, bound)
+
+
+def _brute_survivors(p, bound, use_filter, lo, hi):
+    """{x: ys} of every pair in the box that each sieve keeps, pair by pair."""
+    qs = _aux_primes_brute(p, bound)
+    residues = {q: {pow(r, p, q) for r in range(q)} for q in qs}
+    out = {}
+    for x in range(max(lo, 1), min(hi, bound) + 1):
+        ys = [
+            y
+            for y in range(x, bound + 1)
+            if x % p
+            and y % p
+            and not (use_filter and (x + y) % p == 0)
+            and all((x**p + y**p) % q in residues[q] for q in qs)
+            and (y + 1) ** p - y**p <= x**p
+        ]
+        if ys:
+            out[x] = ys
+    return out
+
+
+def _survivors(p, bound, use_filter, lo, hi):
+    lo, hi = max(lo, 1), min(hi, bound)
+    start, pth = fermat._powers(p, bound, lo, hi)
+    return dict(fermat._sieve(p, bound, use_filter, start, hi, pth))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+def test_sieve_keeps_exactly_the_pairs_each_test_keeps(p):
+    # the masks against the pair-by-pair tests, so a pair the cut drops has
+    # (y+1)^p - y^p > x^p, and a pair it keeps does not
+    bounds = (0, 1, 5, 13, 40, 90) + ((310,) if p == 101 else ())
+    for bound in bounds:
+        for use_filter in (True, False):
+            for lo, hi in [(1, bound), (1, 1), (7, 30), (29, 29), (bound, bound)]:
+                got = _survivors(p, bound, use_filter, lo, hi)
+                assert got == _brute_survivors(p, bound, use_filter, lo, hi), (p, bound, lo, hi)
+
+
+def test_size_cut_drops_only_pairs_too_far_apart():
+    for p in (3, 5, 7, 11, 13):
+        bound = 150
+        kept = _survivors(p, bound, False, 1, bound)
+        for x in range(1, bound + 1):
+            for y in range(x, bound + 1):
+                if y not in kept.get(x, ()) and x % p and y % p and (y + 1) ** p - y**p <= x**p:
+                    # dropped by a residue sieve, never by the cut
+                    assert any(
+                        (x**p + y**p) % q not in {pow(r, p, q) for r in range(q)}
+                        for q in fermat._auxiliary_primes(p, bound)
+                    ), (p, x, y)
+        for x, ys in kept.items():
+            assert all((y + 1) ** p - y**p <= x**p for y in ys)
+
+
+def test_powers_start_at_the_cut_and_end_past_every_z():
+    for p in (3, 5, 7, 13, 101):
+        for bound in (1, 4, 10, 60, 200):
+            for lo, hi in [(1, bound), (3, min(8, bound)), (bound, bound)]:
+                start, pth = fermat._powers(p, bound, lo, hi)
+                admitted = [x for x in range(lo, hi + 1) if (x + 1) ** p - x**p <= x**p]
+                assert start == (admitted[0] if admitted else max(lo, hi + 1))
+                if not admitted:
+                    assert pth == []
+                    continue
+                top_z = start + len(pth) - 1
+                assert pth == [v**p for v in range(start, top_z + 1)]
+                assert (top_z - 1) ** p <= 2 * bound**p < top_z**p and top_z > bound
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+def test_search_matches_pointer_walk_in_larger_boxes(p):
+    # every auxiliary prime is in play here (for 101, 607 from bound 303 on)
+    for bound in (150, 310):
+        for use_filter in (True, False):
+            for x_range in [None, (1, 75), (76, bound), (bound - 3, bound + 3)]:
+                got = case_i_search(p, bound, use_filter=use_filter, x_range=x_range)
+                assert got == pointer_walk_case_i_search(p, bound, use_filter, x_range), (bound, x_range)
+
+
+def test_residue_patterns_cache_is_thread_safe():
+    serial = [case_i_search(p, 120) for p in (7, 11, 13)]
+    fermat._residue_patterns.cache_clear()
+    results = [None] * 4
+    barrier = threading.Barrier(len(results), timeout=30)
+
+    def work(slot):
+        barrier.wait()
+        results[slot] = [case_i_search(p, 120) for p in (7, 11, 13)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * len(results)

@@ -387,6 +387,73 @@ def test_inverse_work_estimate_at_the_cap():
     assert ring._inverse_work(1423, [1, 2] + [0] * 1420) > ring.MAX_INVERSE_WORK
 
 
+def _norm_work_of(a):
+    """`ring._norm_work` of an element, windowed the way `norm` windows it."""
+    _, ints = ring._cleared(a.coeffs)
+    support = [i for i, c in enumerate(ints) if c]
+    d, window = len(ints), ints[support[0] : support[-1] + 1]
+    squares, lag1 = (sum(u * v for u, v in zip(window, window[k:])) for k in (0, 1))
+    return ring._norm_work(a.n, d, window, a.n > 2 and d <= ring.MAX_REAL_NORM_PHI, squares, lag1)
+
+
+def _binomial_unit(p, j):
+    """(1 + zeta_p)^j, a unit of Z[zeta_p] for odd p, from its coordinates."""
+    return CycElt(p, [math.comb(j, i) for i in range(j + 1)])
+
+
+def test_norm_refuses_large_work_before_any_resultant(monkeypatch):
+    def no_resultant(*args):
+        raise AssertionError("a resultant ran before the size check")
+
+    rng = random.Random(97)
+    big = [
+        CycElt(1009, [rng.randint(-9, 9) for _ in range(1008)]),  # took 46 s
+        CycElt(1381, [rng.randint(-9, 9) for _ in range(173)] + [7]),  # a block of d/8
+        _binomial_unit(2003, 1000),
+        CycElt(40009, [1, 2]),  # its first pseudo-remainder would hold 200 MB
+        CycElt(99991, [3, 10**40]),
+    ]
+    monkeypatch.setattr(ring, "resultant", no_resultant)
+    for a in big:
+        assert _norm_work_of(a) > ring.MAX_NORM_WORK
+        for attempt in (a.norm, a.is_unit):
+            with pytest.raises(ValueError, match="norm work estimate exceeds 600000000"):
+                attempt()
+    with pytest.raises(ValueError, match="norm work estimate exceeds"):
+        decompose_unit(_binomial_unit(2003, 1000))
+
+
+def test_norm_work_estimate_keeps_the_served_inputs_far_below_the_limit():
+    rng = random.Random(101)
+    # every conductor of the benchmark's ring workload (phi <= 48), dense
+    for n in range(3, 200):
+        d = totient(n)
+        if n % 4 != 2 and d <= 48:
+            a = CycElt(n, [rng.choice((-9, -4, 1, 5, 9)) for _ in range(d)])
+            assert _norm_work_of(a) * 1000 < ring.MAX_NORM_WORK
+    assert _norm_work_of(CycElt(99991, [1, 1])) * 200 < ring.MAX_NORM_WORK
+    # a run of ones is bounded through A * (1 - zeta) = 1 - zeta^j; random
+    # signs over the same window (37 s for one such norm) are not
+    run = CycElt(1409, [1] * 704)
+    signs = CycElt(1409, [rng.choice((-1, 1)) for _ in range(704)])
+    assert _norm_work_of(run) * 2 < ring.MAX_NORM_WORK < _norm_work_of(signs)
+    # a single coordinate takes one power, however long the conductor
+    assert _norm_work_of(CycElt(99991, [0, 2])) == 99990 * 3 // 2
+    for a in (CycElt(16007, [1, 2]), _binomial_unit(211, 30), run):
+        assert _norm_work_of(a) <= ring.MAX_NORM_WORK
+
+
+def test_norm_work_estimate_examples():
+    # full route, k = 1: m = 4000, lead 2 (one bit per step), |A|_2^2 = 5 (3 bits)
+    size = 4000 * 3 // 2
+    w, w1 = 1 + (size + 3999) // 64, 1 + 4000 // 64
+    assert ring._norm_work(4001, 4000, [1, 2], False, 5, 2) == w * w + 4000 * w1 + 4001 * 4000 + size
+    # real route: Psi_7 has degree 3; the window [1, 2] gives degree 1 and lead 1 * 2
+    size = 6 * 3 // 2
+    w, w1 = 1 + (size + 2) // 64, 1 + 3 // 64
+    assert ring._norm_work(7, 6, [1, 2], True, 5, 2) == w * w + 3 * w1 + 4 * 3 + size
+
+
 def test_is_unit_examples():
     z = CycElt.zeta(5)
     assert CycElt.one(5).is_unit()
@@ -632,6 +699,16 @@ def test_factor_identity_exhaustive():
             for y in range(-20, 21):
                 prod = reduce(lambda u, v: u * v, factor_sum_pth_powers(x, y, p))
                 assert prod.as_scalar() == x**p + y**p
+
+
+def test_factor_matches_ring_construction():
+    # one reduction of x + y * X^i against the ring operations it replaced
+    for p in (3, 5, 7, 13, 47):
+        for x, y in [(2, 1), (-3, 5), (0, 0), (Fraction(1, 2), Fraction(-3, 4)), (Fraction(4, 2), 7)]:
+            got = factor_sum_pth_powers(x, y, p)
+            want = [CycElt(p, x) + zeta_pow(p, i) * y for i in range(p)]
+            assert got == want and list(map(repr, got)) == list(map(repr, want))
+            assert [tuple(map(type, a.coeffs)) for a in got] == [tuple(map(type, a.coeffs)) for a in want]
 
 
 def test_factor_rejects_even_or_composite():
