@@ -7,9 +7,10 @@ integral values are normalized to int so that integer polynomials stay on
 the fast int path.
 
 Includes the n-th cyclotomic polynomial (recursive exact division, cached),
-resultants by a fraction-free subresultant remainder sequence, polynomial
-discriminants, and the closed-form discriminant of prime-power cyclotomic
-fields.
+resultants by a fraction-free subresultant remainder sequence, which can
+also track the cofactor that inverts a polynomial modulo another,
+polynomial discriminants, and the closed-form discriminant of prime-power
+cyclotomic fields.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "poly_from_str",
     "poly_to_str",
     "resultant",
+    "resultant_cofactor",
 ]
 
 
@@ -257,22 +259,67 @@ def cyclotomic_poly(n: int) -> Poly:
     return q
 
 
-def _prem(A, B):
-    """Pseudo-remainder over Z: lc(B)^(deg A - deg B + 1) * A mod B, scaled
-    once up front so that each step divides its lead exactly by lc(B)."""
+def _prem(A, B, Q=None):
+    """Pseudo-remainder over Z: lc(B)^e * A mod B, e = deg A - deg B + 1.  Each
+    entry of A is scaled by lc(B)^e only as it enters the deg B + 1 entries a
+    step touches, and freed above them; each step divides its lead exactly by
+    lc(B).  A list Q of e zeros receives the pseudo-quotient: lc^e * A = Q*B + R."""
     dB, lb = len(B) - 1, B[-1]
-    scale = lb ** max(len(A) - dB, 0)
-    R = [c * scale for c in A]
+    R = list(A)
+    if len(R) > dB:
+        scale = lb ** (len(R) - dB)
+        R[len(R) - dB :] = (c * scale for c in R[len(R) - dB :])
     for top in range(len(R) - 1, dB - 1, -1):
+        shift = top - dB
+        R[shift] *= scale
         q = _exact_int_div(R[top], lb)
+        R[top] = 0
         if q:
-            shift = top - dB
             for i in range(dB):
                 R[shift + i] -= q * B[i]
+            if Q is not None:
+                Q[shift] = q
     del R[dB:]
     while R and R[-1] == 0:
         R.pop()
     return R
+
+
+def _remainder_sequence(A, B, track=None):
+    """The fraction-free subresultant remainder sequence (Collins; Brown and
+    Traub) of integer lists with len(A) >= len(B) >= 2, run to a remainder of
+    degree 0 or to zero: (s, A, B, h, u) with B that remainder, A the one
+    before, h the last scale and s the resultant's sign.  track = (u_A, u_B)
+    gives the cofactors of A and B in a fixed x * A + y * B; u is then that
+    of the last remainder, each one (lc^e * u_A - Q * u_B) / denom from the
+    step's pseudo-quotient Q, by the same checked division as the remainder."""
+    s, gg, hh = 1, 1, 1
+    u0, u1 = track or (None, None)
+    while True:
+        dA, dB = len(A) - 1, len(B) - 1
+        delta = dA - dB
+        if dA % 2 and dB % 2:
+            s = -s
+        Q = [0] * (delta + 1) if track else None
+        R = _prem(A, B, Q)
+        denom = gg * hh**delta
+        if track:
+            u = [B[-1] ** (delta + 1) * c for c in u0] + [0] * (delta + len(u1) - len(u0))
+            for i, q in enumerate(Q):
+                for j, c in enumerate(u1):
+                    u[i + j] -= q * c
+            while u and not u[-1]:
+                u.pop()
+            u0, u1 = u1, [_exact_int_div(c, denom) for c in u]
+        A = B
+        B = [_exact_int_div(c, denom) for c in R]
+        if not B:
+            return s, A, B, hh, u1
+        gg = A[-1]
+        if delta > 0:
+            hh = _exact_int_div(gg**delta, hh ** (delta - 1))
+        if len(B) == 1:
+            return s, A, B, hh, u1
 
 
 def resultant(f: Poly, g: Poly) -> int:
@@ -290,25 +337,38 @@ def resultant(f: Poly, g: Poly) -> int:
         A, B = B, A
     if len(B) == 1:
         return s * B[0] ** (len(A) - 1)
-    gg = 1
-    hh = 1
-    while True:
-        dA, dB = len(A) - 1, len(B) - 1
-        delta = dA - dB
-        if dA % 2 and dB % 2:
-            s = -s
-        R = _prem(A, B)
-        A = B
-        denom = gg * hh**delta
-        B = [_exact_int_div(c, denom) for c in R]
-        if not B:
-            return 0
-        gg = A[-1]
-        if delta > 0:
-            hh = _exact_int_div(gg**delta, hh ** (delta - 1))
-        if len(B) == 1:
-            dA = len(A) - 1
-            return s * _exact_int_div(B[0] ** dA, hh ** (dA - 1))
+    sign, A, B, hh, _ = _remainder_sequence(A, B)
+    if not B:
+        return 0
+    return s * sign * _exact_int_div(B[0] ** (len(A) - 1), hh ** (len(A) - 2))
+
+
+def resultant_cofactor(f: Poly, g: Poly):
+    """(t, c), t a list low to high, with t * g = c (mod f) for a monic integer
+    f and an integer g coprime to it (reduced modulo f first if longer): c is
+    the last remainder of the sequence `resultant` takes.  When deg g >=
+    deg f - 1, as for dense elements, the sequence tracks t itself; otherwise
+    it tracks f's cofactor u, shorter than g, and t = (c - u * f) / g.
+
+    >>> resultant_cofactor(Poly([1, 0, 1]), Poly([1, 1]))  # (1 - X)(1 + X) = 2 mod X^2 + 1
+    ([1, -1], 2)
+    """
+    A, B = list(f.coeffs), list(g.coeffs)
+    if len(B) > len(A):
+        g = Poly(_prem(B, A))
+        B = list(g.coeffs)
+    direct = len(B) >= len(A) - 1
+    last, u = B, [1] if direct else []
+    if len(B) > 1:
+        _, _, last, _, u = _remainder_sequence(A, B, ([], [1]) if direct else ([1], []))
+    if not last:
+        raise InternalInvariantError("cofactor of a polynomial that shares a factor with the modulus")
+    if direct:
+        return u, last[0]
+    t, r = divmod(last[0] - Poly(u) * f, g)
+    if r or not t.is_integral():
+        raise InternalInvariantError("inexact division in subresultant sequence")
+    return list(t.coeffs), last[0]
 
 
 def discriminant(f: Poly) -> int:

@@ -13,20 +13,19 @@ Z[zeta_n], nothing more).
 
 Nothing divides polynomials over Q, and products clear denominators
 first, so the product loop multiplies ints only.  The trace reads a table
-of Ramanujan sums.  The norm goes through the real subfield
+of Ramanujan sums.  The norm and the inverse share one resultant pair.
+Up to phi(n) = MAX_REAL_NORM_PHI it lives in the real subfield
 Q(zeta_n)+ = Q(zeta + 1/zeta) of index 2: N(a) is the norm of the real
 element a * conj(a), read off the autocorrelation of the coordinates
-without a ring product, and taken as a resultant with the minimal
-polynomial Psi_n of zeta + 1/zeta, of half the degree of Phi_n.  Above
-phi(n) = MAX_REAL_NORM_PHI, where Psi_n's coefficients grow large, the
-norm is Res(Phi_n, A).  The inverse is an integer conjugate product over
-the norm: the conjugates are multiplied along a polycyclic sequence of
-generators of the Galois group (Z/n)^*, each orbit by doubling, in
-O(log n) ring products per generator.
+without a ring product, as a resultant with the minimal polynomial Psi_n
+of zeta + 1/zeta, of half the degree of Phi_n; above it, where Psi_n's
+coefficients grow large, the pair is Phi_n and a.  The inverse tracks a
+cofactor along the same subresultant sequence, which ends in an integer
+c = t * g modulo f: a^-1 = conj(a) * t(zeta + 1/zeta) / c, or t / c.
 
 Everything is immutable and every operation is a pure function; the only
-shared state is the per-conductor Ramanujan-sum, orbit-step and Psi_n
-tables here and the Phi_n cache in `polys`, all idempotent caches.
+shared state is the per-conductor Ramanujan-sum and Psi_n tables here and
+the Phi_n cache in `polys`, all idempotent caches.
 
 >>> z = CycElt.zeta(5)
 >>> (1 + z) * (1 + z**4)
@@ -45,7 +44,8 @@ from fractions import Fraction
 
 from .errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
 from .ntheory import check_odd_prime, divisors, moebius, totient
-from .polys import Poly, _scalar, check_conductor, cyclotomic_poly, format_scalar, parse_scalar, resultant
+from .polys import Poly, _scalar, check_conductor, cyclotomic_poly, format_scalar, parse_scalar
+from .polys import resultant, resultant_cofactor
 
 __all__ = [
     "MAX_INVERSE_WORK",
@@ -154,48 +154,6 @@ def _real_cyclotomic(n):
     return Poly(_theta_form(phi[len(phi) // 2 :]))
 
 
-@functools.cache
-def _orbit_steps(n):
-    """A polycyclic sequence ((g_1, o_1), ...) for the unit group (Z/n)^*.
-
-    With H_0 = {1}, g_i is the least unit outside H_(i-1) and o_i the least
-    o with g_i^o in H_(i-1); then H_i is the disjoint union of the cosets
-    g_i^j * H_(i-1), j < o_i, and the product of the o_i is phi(n).  The
-    group need not be cyclic; for prime n with 2 a primitive root this is
-    the single step (2, n - 1)."""
-    group = {1 % n}
-    steps = []
-    for g in range(2, n):
-        if g in group or math.gcd(g, n) != 1:
-            continue
-        powers = [1]
-        while powers[-1] * g % n not in group:
-            powers.append(powers[-1] * g % n)
-        o = len(powers)
-        group = {x * y % n for x in group for y in powers}
-        steps.append((g, o))
-    return tuple(steps)
-
-
-def _chain(n, vec, g, length):
-    """prod of sigma_(g^j)(vec) over 0 <= j < length (length >= 1), by
-    doubling: chain(2L) = chain(L) * sigma_(g^L)(chain(L)) and
-    chain(L + 1) = vec * sigma_g(chain(L))."""
-    if length == 1:
-        return vec
-    half = _chain(n, vec, g, length // 2)
-    out = _mul_vecs(n, half, _galois_vec(n, half, pow(g, length // 2, n)))
-    if length % 2:
-        out = _mul_vecs(n, vec, _galois_vec(n, out, g))
-    return out
-
-
-# Largest `_inverse_work` that `inverse` (so also `/`, negative powers and
-# `elt inv`) accepts.  On a 2-vCPU Xeon VM with Python 3.11 an inverse took
-# 0.7-2.2 s per million of the estimate over prime and composite n, dense
-# and sparse elements; 1409:[1,2] (estimate 3.97e6) took about 6 s.
-MAX_INVERSE_WORK = 4_000_000
-
 # Largest phi(n) for which `norm` takes the half-degree resultant over the
 # real subfield; above it `norm` takes Res(Phi_n, A).  Psi_n is built once
 # per n and its coefficients have about phi/3 bits.  On a 2-vCPU Xeon VM with
@@ -205,16 +163,6 @@ MAX_INVERSE_WORK = 4_000_000
 # through Psi_n, but already took 16 s at 1008.  Past this bound the one-off
 # build outweighs what a sparse norm saves.
 MAX_REAL_NORM_PHI = 1000
-
-
-def _inverse_work(n, ints):
-    """bits(|A|_1) * (d^2 + (n - d) * w) for integer coordinates A, with
-    d = phi(n) and w the nonzero terms of Phi_n: the inverse has d
-    coordinates of about d * log2 |A|_1 bits, a ring product costs d^2
-    multiply-adds and reducing a Galois image (n - d) * w."""
-    d = len(ints)
-    w = sum(1 for c in cyclotomic_poly(n).coeffs if c)
-    return sum(map(abs, ints)).bit_length() * (d * d + (n - d) * w)
 
 
 # Largest `_norm_work` that `norm` (so also `is_unit`, `decompose_unit` and
@@ -235,7 +183,7 @@ def _norm_work(n, d, a, real, squares, lag1):
     squares = sum a_i^2 and lag1 = sum a_i * a_(i+1), in word operations
     plus bits held.  m >= k are the degrees of the two polynomials and lead
     the leading coefficient of the element's one.  The first
-    pseudo-remainder scales an (m+1)-entry copy by lead^(m-k+1), and the
+    pseudo-remainder scales its m+1 entries by lead^(m-k+1), and the
     subresultant chain makes about k^2 products of numbers as large as the
     norm, whose size is bounded by d * log2 |B|_2 for B = A and for
     B = A * (1 - zeta) (with N(1 - zeta) >= 1); the second is far smaller
@@ -253,6 +201,67 @@ def _norm_work(n, d, a, real, squares, lag1):
     w = 1 + (size + (m - k) * lam) // 64
     w1 = 1 + (m - k + 1) * lam // 64
     return k * k * w * w + (m - k + 1) * k * w1 + (m + 1) * (m - k + 1) * lam + size
+
+
+# Largest `_norm_work` of the resultant pair plus `_output_work` that `inverse`
+# (so `/`, negative powers and `elt inv`) accepts.  On a 2-vCPU Xeon VM with
+# Python 3.11 dense, block, p/q and composite inverses took 9-28 s per billion
+# of it (sparse ones less), the most for blocks on the Phi_n route; just
+# inside it the slowest of eight families, a block at 1423, took 4.6 s.
+MAX_INVERSE_WORK = 250_000_000
+
+
+def _output_work(n, d, start, real, squares, lag1):
+    """The word operations of `inverse` after the subresultant sequence, all
+    of it for sparse elements with large coordinates: d gcds of numbers of
+    `words` words, the norm's size bound; over the real subfield a product
+    of d^2 and its reduction, w (the nonzero terms of Phi_n) per cleared
+    place; over Phi_n the reduction of t / zeta^start over n - d places."""
+    words = 1 + d * min(squares, 2 * (squares - lag1)).bit_length() // 128
+    w = sum(1 for c in cyclotomic_poly(n).coeffs if c)
+    clear = d * d + min(n - d, d) * w if real else (n - d) * w if start else 0
+    return words * (d * words + clear)
+
+
+def _resultant_pair(n, ints, inverse=False):
+    """(real, f, g, start) with f monic and Res(f, g) = N(A) for the integer
+    coordinates ints (not all zero) of A, from the window of A between its
+    first (start) and last nonzero ones (zeta^j has norm 1 for n >= 3).  Up
+    to MAX_REAL_NORM_PHI (real): A * conj(A) = c_0 + sum c_k (zeta^k +
+    zeta^-k), c_k the autocorrelation sums (k > n/2 folded onto n - k), so
+    f = Psi_n and g the theta-form of c; above it f = Phi_n, g the window.
+    Refused before anything is built when `_norm_work` exceeds MAX_NORM_WORK,
+    or with inverse, when it plus `_output_work` exceeds MAX_INVERSE_WORK."""
+    d = len(ints)
+    nonzero = list(map(bool, ints))
+    start = nonzero.index(True)
+    a = ints[start : d - nonzero[::-1].index(True)]
+    real = n > 2 and d <= MAX_REAL_NORM_PHI
+    squares, lag1 = sum(map(operator.mul, a, a)), sum(map(operator.mul, a, a[1:]))
+    work, limit = _norm_work(n, d, a, real, squares, lag1), MAX_NORM_WORK
+    if inverse:
+        work, limit = work + _output_work(n, d, start, real, squares, lag1), MAX_INVERSE_WORK
+    if work > limit:
+        raise ValueError(f"{'inverse' if inverse else 'norm'} work estimate exceeds {limit}")
+    if not real:
+        return real, cyclotomic_poly(n), Poly(a), start
+    half = n // 2
+    c = [squares, lag1][: len(a)] + [0] * (min(len(a), half + 1) - 2)
+    for k in range(2, len(a)):
+        c[k if k <= half else n - k] += sum(map(operator.mul, a, a[k:]))
+    return real, _real_cyclotomic(n), Poly(_theta_form(c)), start
+
+
+def _zeta_form(t):
+    """zeta^D * t(zeta + 1/zeta), a polynomial in zeta of degree 2D, for
+    theta-coefficients t of degree D: Horner's rule in the basis 1, V_1, ...,
+    where theta * 1 = V_1, theta * V_1 = V_2 + 2 (V_0 = 2) and theta * V_k =
+    V_(k+1) + V_(k-1) for k >= 2."""
+    e = []
+    for tk in reversed(t):
+        e += [0, 0]
+        e = [tk + 2 * e[1], *map(operator.add, e, e[2:])]
+    return e[:0:-1] + e
 
 
 class CycElt:
@@ -416,39 +425,21 @@ class CycElt:
     def norm(self):
         """Field norm down to Q: the product of all Galois conjugates.
 
-        With self = A/m for integral A, N(self) = N(A) / m^phi(n).  The
-        zero coordinates below and above the support of A are dropped first
-        (zeta^j has norm 1 for n >= 3).  Up to MAX_REAL_NORM_PHI the norm
-        goes through the real subfield: N(A) = N(A * conj(A)) over Q(zeta)+,
-        and A * conj(A) = c_0 + sum c_k (zeta^k + zeta^-k) with c_k the
-        autocorrelation sum A_i * A_(i+k) (k > n/2 folded onto n - k), so
-        N(A) = Res(Psi_n, B) for B the theta-form of c: a resultant of half
-        the degree.  Above the bound, where building Psi_n costs more than
-        it saves, N(A) = Res(Phi_n, A).  An element whose `_norm_work`
-        exceeds MAX_NORM_WORK is refused before any resultant.
+        With self = A/m for integral A, N(self) = N(A) / m^phi(n), and N(A)
+        is the resultant of the pair that `_resultant_pair` builds: of half
+        the degree over the real subfield up to MAX_REAL_NORM_PHI, else
+        Res(Phi_n, A).  An element whose `_norm_work` exceeds MAX_NORM_WORK
+        is refused before any resultant.
 
         >>> CycElt.parse('7:[1,2]').norm() == 43
         True
         """
         if not self:
             return 0
-        n, d = self.n, len(self.coeffs)
         m, ints = _cleared(self.coeffs)
-        nonzero = list(map(bool, ints))
-        a = ints[nonzero.index(True) : d - nonzero[::-1].index(True)]
-        real = n > 2 and d <= MAX_REAL_NORM_PHI
-        squares, lag1 = sum(map(operator.mul, a, a)), sum(map(operator.mul, a, a[1:]))
-        if _norm_work(n, d, a, real, squares, lag1) > MAX_NORM_WORK:
-            raise ValueError(f"norm work estimate exceeds {MAX_NORM_WORK}")
-        if real:
-            half = n // 2
-            c = [squares, lag1][: len(a)] + [0] * (min(len(a), half + 1) - 2)
-            for k in range(2, len(a)):
-                c[k if k <= half else n - k] += sum(map(operator.mul, a, a[k:]))
-            r = resultant(_real_cyclotomic(n), Poly(_theta_form(c)))
-        else:
-            r = resultant(cyclotomic_poly(n), Poly(a))
-        return r if m == 1 else _scalar(Fraction(r, m**d))
+        _, f, g, _ = _resultant_pair(self.n, ints)
+        r = resultant(f, g)
+        return r if m == 1 else _scalar(Fraction(r, m ** len(ints)))
 
     def trace(self):
         """Field trace down to Q: the sum of all Galois conjugates, taken
@@ -456,32 +447,31 @@ class CycElt:
         return _scalar(sum(c * t for c, t in zip(self.coeffs, _ramanujan_sums(self.n)) if c))
 
     def inverse(self) -> "CycElt":
-        """Multiplicative inverse, fraction-free: with self = A/m for integral
-        A, the cofactor C = prod of sigma_k(A) over the units k != 1 mod n
-        gives A*C = N(A), so self^-1 = m*C / N(A).
+        """Multiplicative inverse, fraction-free, from the norm's resultant
+        pair (f, g) of A = m * self: the sequence ends in an integer
+        c = t * g (mod f) for g's cofactor t.  Over the real subfield
+        g(theta) = A * conj(A), so self^-1 = m * conj(A) * t(zeta + 1/zeta) / c;
+        over Phi_n, g = A / zeta^start and self^-1 = m * t / (zeta^start * c).
+        The one division, by c, comes last.  Refused before any resultant or
+        product above MAX_INVERSE_WORK (see `_resultant_pair`).
 
-        C is built over the orbit steps (g, o) of (Z/n)^*: while full is the
-        product of the conjugates of A over a subgroup H, the coset factor
-        T = prod of sigma_(g^j)(full) over 0 < j < o extends it to the next
-        subgroup, and C collects every T.  Each T is a doubling chain, so
-        the ring products number O(log n) per step.  Only integer products
-        are formed; the single division comes last.  An element whose
-        `_inverse_work` exceeds MAX_INVERSE_WORK is refused before any
-        product."""
+        >>> a = CycElt.parse('7:[1,2]')
+        >>> a * a.inverse() == 1
+        True
+        """
         if not self:
             raise ZeroDivisionError("division by zero")
         n = self.n
         m, ints = _cleared(self.coeffs)
-        if _inverse_work(n, ints) > MAX_INVERSE_WORK:
-            raise ValueError(f"inverse work estimate exceeds {MAX_INVERSE_WORK}")
-        full, cof = ints, (1,) + (0,) * (len(ints) - 1)
-        for g, o in _orbit_steps(n):
-            t = _galois_vec(n, _chain(n, full, g, o - 1), g)
-            cof = _mul_vecs(n, cof, t)
-            full = _mul_vecs(n, full, t)
-        if any(full[1:]) or not full[0]:
-            raise InternalInvariantError("conjugate product is not a nonzero rational")
-        return CycElt._of(n, _divided(tuple(c * m for c in cof), full[0]))
+        real, f, g, start = _resultant_pair(n, ints, inverse=True)
+        t, c = resultant_cofactor(f, g)
+        if real:
+            # conj(A) / zeta^D, small integers: A_i sits at -i - D mod n
+            bar = _reduce(n, [0] * ((2 - len(t) - len(ints)) % n) + [*reversed(ints)], fractions=False)
+            vec = _mul_vecs(n, bar, _zeta_form(t))
+        else:
+            vec = _reduce(n, [0] * (-start % n) + t, fractions=False)
+        return CycElt._of(n, _divided(tuple(x * m for x in vec), c))
 
     def is_unit(self):
         """Unit of Z[zeta_n], i.e. norm +-1; requires integer coordinates."""

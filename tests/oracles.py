@@ -4,12 +4,14 @@ Each oracle takes a different route than the library: brute-force counts,
 the Moebius product over sparse binomials, Sylvester determinants via
 Bareiss elimination, Galois-conjugate folding, multiplication-matrix
 traces, the extended Euclidean inverse over Q, the inverse by a
-sequential cofactor product over the Galois conjugates, the Case I search
+sequential cofactor product over the Galois conjugates and by doubling
+chains over the Galois orbits, the Case I search
 by a binary-search p-th root per pair and by a z-pointer over every pair,
 and Bernoulli numbers by the defining recurrence over Fractions.  They are
 deliberately slow and simple.
 """
 
+import functools
 import math
 from fractions import Fraction
 from functools import reduce
@@ -18,7 +20,7 @@ from cyclo.errors import InternalInvariantError
 from cyclo.fermat import SearchReport
 from cyclo.ntheory import totient
 from cyclo.polys import Poly, _scalar, cyclotomic_poly
-from cyclo.ring import CycElt, zeta_pow
+from cyclo.ring import CycElt, _cleared, _divided, _galois_vec, _mul_vecs, zeta_pow
 
 
 def phi_brute(n):
@@ -175,6 +177,64 @@ def sequential_cofactor_inverse(a):
     if any(norm[1:]) or not norm[0]:
         raise InternalInvariantError("conjugate product is not a nonzero rational")
     return CycElt(n, [Fraction(c * m, norm[0]) for c in cof.coeffs])
+
+
+@functools.cache
+def _orbit_steps(n):
+    """A polycyclic sequence ((g_1, o_1), ...) for the unit group (Z/n)^*.
+
+    With H_0 = {1}, g_i is the least unit outside H_(i-1) and o_i the least
+    o with g_i^o in H_(i-1); then H_i is the disjoint union of the cosets
+    g_i^j * H_(i-1), j < o_i, and the product of the o_i is phi(n).  The
+    group need not be cyclic; for prime n with 2 a primitive root this is
+    the single step (2, n - 1)."""
+    group = {1 % n}
+    steps = []
+    for g in range(2, n):
+        if g in group or math.gcd(g, n) != 1:
+            continue
+        powers = [1]
+        while powers[-1] * g % n not in group:
+            powers.append(powers[-1] * g % n)
+        o = len(powers)
+        group = {x * y % n for x in group for y in powers}
+        steps.append((g, o))
+    return tuple(steps)
+
+
+def _chain(n, vec, g, length):
+    """prod of sigma_(g^j)(vec) over 0 <= j < length (length >= 1), by
+    doubling: chain(2L) = chain(L) * sigma_(g^L)(chain(L)) and
+    chain(L + 1) = vec * sigma_g(chain(L))."""
+    if length == 1:
+        return vec
+    half = _chain(n, vec, g, length // 2)
+    out = _mul_vecs(n, half, _galois_vec(n, half, pow(g, length // 2, n)))
+    if length % 2:
+        out = _mul_vecs(n, vec, _galois_vec(n, out, g))
+    return out
+
+
+def orbit_chain_inverse(a):
+    """Multiplicative inverse as m*C / N(A) for A = m*a integral, with the
+    cofactor C = prod of sigma_k(A) over the units k != 1 mod n built over
+    the orbit steps (g, o) of (Z/n)^*: while full is the product of the
+    conjugates of A over a subgroup H, the coset factor
+    T = prod of sigma_(g^j)(full) over 0 < j < o extends it to the next
+    subgroup, and C collects every T.  Each T is a doubling chain, so the
+    ring products number O(log n) per step; no work limit."""
+    if not a:
+        raise ZeroDivisionError("division by zero")
+    n = a.n
+    m, ints = _cleared(a.coeffs)
+    full, cof = ints, (1,) + (0,) * (len(ints) - 1)
+    for g, o in _orbit_steps(n):
+        t = _galois_vec(n, _chain(n, full, g, o - 1), g)
+        cof = _mul_vecs(n, cof, t)
+        full = _mul_vecs(n, full, t)
+    if any(full[1:]) or not full[0]:
+        raise InternalInvariantError("conjugate product is not a nonzero rational")
+    return CycElt._of(n, _divided(tuple(c * m for c in cof), full[0]))
 
 
 # -- Case I search by bisection roots --------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 import threading
 import time
@@ -26,6 +27,9 @@ GOLDEN_CASES = [
     (["factor", "3", "1", "1"], "factor_3_1_1.txt"),
     (["unit-decompose", "5", "5:[1,1,0,0]"], "unit_decompose_5.txt"),
     (["case1", "5", "--bound", "20", "--json"], "case1_5_b20.json"),
+    (["elt", "inv", "7:[1,2,0,3,0,-1]"], "elt_inv_7.txt"),
+    (["elt", "inv", "9:[1/2,3,-2/3,0,0,1]"], "elt_inv_9_frac.txt"),
+    (["elt", "inv", "12:[2,1/3,0,-1]", "--json"], "elt_inv_12_json.txt"),
 ]
 
 
@@ -146,9 +150,9 @@ def test_usage_errors_exit_1(capsys, argv):
         (["regular", "--upto", "3504"], "--upto must be <= 3503"),
         (["regular", "--upto", str(2**127 - 1)], "--upto must be <= 3503"),
         (["case1", "3511", "--bound", "2"], "p must be <= 3503"),
-        (["elt", "inv", "1423:[1,2]"], "inverse work estimate exceeds 4000000"),
-        (["elt", "inv", "99991:[1,1]"], "inverse work estimate exceeds 4000000"),
-        (["elt", "inv", "6006:[1,2]"], "inverse work estimate exceeds 4000000"),
+        (["elt", "inv", "30030:[0,1,2]"], "inverse work estimate exceeds 250000000"),
+        (["elt", "inv", "99991:[1,1]"], "inverse work estimate exceeds 250000000"),
+        (["elt", "inv", f"997:[1,{10**30}]"], "inverse work estimate exceeds 250000000"),
         (["elt", "norm", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
         (["elt", "is-unit", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
         (["unit-decompose", "40009", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
@@ -174,7 +178,8 @@ def test_oversized_inputs_are_refused_before_work(capsys):
         ["pairs", str(2**127 - 1)],
         ["regular", "--upto", str(2**127 - 1)],
         ["elt", "inv", "99991:[1,2]"],
-        ["elt", "inv", "6006:[1,2]"],
+        # reducing t / zeta modulo Phi_30030 took 94 s
+        ["elt", "inv", "30030:[0,1,2]"],
         # the first pseudo-remainder of Phi_99991 by 1 + 2X holds 1.25 GB
         ["elt", "norm", "99991:[1,2]"],
         ["unit-decompose", "99991", "99991:[1,2]"],
@@ -185,21 +190,34 @@ def test_oversized_inputs_are_refused_before_work(capsys):
     capsys.readouterr()
 
 
+def _seeded_literal(n, count, bound):
+    rng = random.Random(7)
+    return f"{n}:[" + ",".join(str(rng.randint(-bound, bound)) for _ in range(count)) + "]"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        # 1409 is the largest prime whose [1,2] passes ring.MAX_INVERSE_WORK (1423 exits 2)
         ["elt", "inv", "1409:[1,2]", "--quiet"],
         ["unit-decompose", "1409", "1409:[1,2,2,1]", "--quiet"],
         # (1 - zeta^704) / (1 - zeta): many rotations agree on long runs
         ["unit-decompose", "1409", "1409:[" + ",".join(["1"] * 704) + "]", "--quiet"],
+        # refused by the limit the inverse had before it went through the resultant
+        ["elt", "inv", "1423:[1,2]", "--quiet"],
+        ["elt", "inv", "6006:[1,2]", "--quiet"],
+        # just inside ring.MAX_INVERSE_WORK: dense with 194-bit coordinates
+        # (3.1 s), and a block of 84 places on the Phi_n route (4.6 s), the
+        # shape that took the most time per unit of the estimate
+        ["elt", "inv", _seeded_literal(101, 100, 2**194), "--quiet"],
+        ["elt", "inv", _seeded_literal(1423, 84, 9), "--quiet"],
     ],
 )
 def test_commands_at_the_inverse_cap_end_within_budget(capsys, argv):
     start = time.monotonic()
     assert run(argv) == 0
     assert time.monotonic() - start < 10
-    assert capsys.readouterr().out.startswith(("1409:[", "x=1409:["))
+    n = argv[2].split(":")[0]
+    assert capsys.readouterr().out.startswith((f"{n}:[", f"x={n}:["))
 
 
 @pytest.mark.parametrize(

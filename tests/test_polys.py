@@ -1,8 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from cyclo import polys
+from cyclo.errors import InternalInvariantError
 from cyclo.ntheory import factorize, is_prime, totient
 from cyclo.polys import (
     MAX_CONDUCTOR,
@@ -14,6 +17,7 @@ from cyclo.polys import (
     poly_from_str,
     poly_to_str,
     resultant,
+    resultant_cofactor,
 )
 from oracles import cyclotomic_by_definition, cyclotomic_moebius, sylvester_resultant
 
@@ -245,6 +249,92 @@ def test_prem_matches_division_over_q():
         R = _prem(A, B)
         assert all(isinstance(c, int) for c in R) and (not R or R[-1])
         assert Poly(R) == (Poly(A) * scale) % Poly(B)
+
+
+def test_prem_writes_the_pseudo_quotient():
+    rng = random.Random(6)
+    for _ in range(400):
+        B = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [rng.choice([1, -1, 2, -3, 6])]
+        A = [rng.randint(-50, 50) for _ in range(rng.randint(len(B) - 1, 12))] + [rng.randint(1, 9)]
+        Q = [0] * (len(A) - len(B) + 1)
+        R = _prem(A, B, Q)
+        scale = B[-1] ** len(Q)
+        assert R == _prem(A, B)
+        assert Poly(A) * scale == Poly(Q) * Poly(B) + Poly(R)
+
+
+def test_prem_holds_only_a_window_of_scaled_entries():
+    # lc(B)^e * A for A = Phi_16007 and B = 2X + 1 would hold 16007 entries
+    # of about 16007 bits (32 MB); the window holds two
+    A = list(cyclotomic_poly(16007).coeffs)
+    tracemalloc.start()
+    try:
+        R = _prem(A, [1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R == [resultant(cyclotomic_poly(16007), Poly([1, 2]))]
+    assert peak < 1_000_000
+
+
+def _random_coprime_pair(rng, max_deg):
+    """A monic f and a g coprime to it, with Res(f, g) != 0."""
+    while True:
+        f = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, max_deg))] + [1])
+        g = Poly([rng.choice([0, rng.randint(-9, 9)]) for _ in range(rng.randint(0, max_deg + 2))] + [rng.choice([-3, -1, 1, 2, 5])])
+        if resultant(f, g):
+            return f, g
+
+
+def test_resultant_cofactor_inverts_modulo_f():
+    rng = random.Random(8)
+    for _ in range(300):
+        f, g = _random_coprime_pair(rng, 7)
+        t, c = resultant_cofactor(f, g)
+        assert c and all(isinstance(x, int) for x in t)
+        assert len(t) <= f.degree
+        assert not (Poly(t) * g - c) % f
+    assert resultant_cofactor(X**3 + 1, Poly([-4])) == ([1], -4)
+    with pytest.raises(InternalInvariantError, match="shares a factor"):
+        resultant_cofactor(X**2 - 1, X**3 - X)
+
+
+def test_resultant_cofactor_does_not_pay_in_resultant(monkeypatch):
+    calls = []
+    sequence = polys._remainder_sequence
+
+    def spy(A, B, track=None):
+        calls.append(track)
+        return sequence(A, B, track)
+
+    monkeypatch.setattr(polys, "_remainder_sequence", spy)
+    resultant(cyclotomic_poly(11), Poly([3, 1, 4, 1, 5]))
+    resultant_cofactor(cyclotomic_poly(11), Poly([3, 1, 4, 1, 5]))  # tracks Phi_11's cofactor
+    resultant_cofactor(cyclotomic_poly(11), Poly([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]))  # tracks g's own
+    assert calls == [None, ([1], []), ([], [1])]
+
+
+@pytest.mark.parametrize("g", [(3, 1, 4, 1, 5), (3, 1, 4, 1, 5, 9, 2, 6, 5, 3), (2, -7, 1, 8, 2, 8, 1, 8, 2, 8, 4)])
+def test_cofactor_divisions_are_checked(monkeypatch, g):
+    # a pseudo-quotient off by one in the third step makes the cofactor
+    # update inexact; the checked division must say so instead of returning
+    # a wrong cofactor
+    prem, steps = polys._prem, []
+
+    def corrupt(A, B, Q=None):
+        R = prem(A, B, Q)
+        if Q is not None:
+            steps.append(B)
+            if len(steps) == 3:
+                Q[0] += 1
+        return R
+
+    f = cyclotomic_poly(11)
+    t, c = resultant_cofactor(f, Poly(g))
+    assert not (Poly(t) * Poly(g) - c) % f
+    monkeypatch.setattr(polys, "_prem", corrupt)
+    with pytest.raises(InternalInvariantError, match="inexact division"):
+        resultant_cofactor(f, Poly(g))
 
 
 def test_discr_formula_matches_oracle_small():

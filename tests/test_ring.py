@@ -8,7 +8,7 @@ from functools import reduce
 
 import pytest
 
-from cyclo import ring
+from cyclo import polys, ring
 from cyclo.errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
 from cyclo.ntheory import totient
 from cyclo.polys import MAX_CONDUCTOR, Poly, check_conductor, cyclotomic_poly, resultant
@@ -20,9 +20,11 @@ from cyclo.ring import (
     zeta_pow,
 )
 from oracles import (
+    _orbit_steps,
     conjugate_product_norm,
     euclid_inverse,
     mult_matrix_trace,
+    orbit_chain_inverse,
     rand_elt,
     sequential_cofactor_inverse,
 )
@@ -322,21 +324,70 @@ def test_inverse_matches_sequential_cofactor_oracle(n):
         assert a.inverse() == inv and repr(a.inverse()) == repr(inv)
         assert repr(3 / a) == repr(inv * 3)
         assert repr(a**-2) == repr(inv * inv)
+        assert repr(orbit_chain_inverse(a)) == repr(inv)
         if totient(n) <= 16:
             assert repr(inv) == repr(euclid_inverse(a))
 
 
+@pytest.mark.parametrize(
+    "lit",
+    [
+        "211:[1,2]",
+        "401:[1,2]",
+        # phi(2310) = 480: Psi_2310 has degree 240, and B(theta) = A * conj(A),
+        # of degree 297 here, is reduced modulo it first
+        "2310:[" + ",".join(str({3: 3, 11: -1, 31: 2, 300: 1}.get(i, 0)) for i in range(301)) + "]",
+    ],
+    ids=["211", "401", "2310-sparse"],
+)
+def test_inverse_matches_orbit_chain_oracle_past_phi_120(lit):
+    a = CycElt.parse(lit)
+    inv = orbit_chain_inverse(a)
+    assert a.inverse() == inv and repr(a.inverse()) == repr(inv)
+    assert repr((a / 3) ** -1) == repr(inv * 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9, 12, 15, 16, 20, 21, 28, 36, 45, 60])
+def test_inverse_through_phi_n_matches_oracle(monkeypatch, n):
+    # with the real-subfield route switched off every conductor takes
+    # Res(Phi_n, A), windows starting past zeta^0 included
+    monkeypatch.setattr(ring, "MAX_REAL_NORM_PHI", 0)
+    rng = random.Random(83 + n)
+    d = totient(n)
+    elts = [rand_elt(rng, n), rand_elt(rng, n, max_den=4), CycElt(n, [0] * (d // 2) + [2, 3])]
+    elts += [zeta_pow(n, d - 1) * 5, CycElt(n, [0, Fraction(3, 2)])]
+    for a in filter(None, elts):
+        inv = sequential_cofactor_inverse(a)
+        assert a.inverse() == inv and repr(a.inverse()) == repr(inv)
+        assert a.norm() == conjugate_product_norm(a)
+
+
+def test_zeta_form_examples():
+    # zeta^D * t(zeta + 1/zeta) for t of degree D
+    assert ring._zeta_form([7]) == [7]
+    assert ring._zeta_form([0, 1]) == [1, 0, 1]  # zeta * theta = 1 + zeta^2
+    assert ring._zeta_form([0, 0, 1]) == [1, 0, 2, 0, 1]  # theta^2 = V_2 + 2
+    assert ring._zeta_form([5, -1, 0, 1]) == [1, 0, 2, 5, 2, 0, 1]  # theta^3 - theta + 5
+    rng = random.Random(89)
+    for n in (7, 11, 13, 16, 24):
+        for _ in range(5):
+            t = [rng.randint(-9, 9) for _ in range(rng.randint(1, totient(n) // 2))]
+            theta = zeta_pow(n, 1) + zeta_pow(n, n - 1)
+            want = sum((theta**k * c for k, c in enumerate(t)), CycElt.zero(n)) * zeta_pow(n, len(t) - 1)
+            assert CycElt(n, ring._zeta_form(t)) == want
+
+
 def test_orbit_steps_examples():
-    assert ring._orbit_steps(1) == ring._orbit_steps(2) == ()
-    assert ring._orbit_steps(7) == ((2, 3), (3, 2))
-    assert ring._orbit_steps(11) == ((2, 10),)
-    assert ring._orbit_steps(8) == ((3, 2), (5, 2))
-    assert ring._orbit_steps(84) == ((5, 6), (11, 2), (13, 2))
+    assert _orbit_steps(1) == _orbit_steps(2) == ()
+    assert _orbit_steps(7) == ((2, 3), (3, 2))
+    assert _orbit_steps(11) == ((2, 10),)
+    assert _orbit_steps(8) == ((3, 2), (5, 2))
+    assert _orbit_steps(84) == ((5, 6), (11, 2), (13, 2))
 
 
 def test_orbit_steps_cover_the_group():
     for n in range(1, 501):
-        steps = ring._orbit_steps(n)
+        steps = _orbit_steps(n)
         cosets = [1 % n]
         for g, o in steps:
             assert g == min(k for k in range(n) if math.gcd(k, n) == 1 and k not in cosets)
@@ -369,22 +420,58 @@ def test_mul_vecs_matches_fraction_schoolbook():
     assert prod == (2, 3) and all(type(c) is int for c in prod)
 
 
-def test_inverse_refuses_large_work_before_any_product(monkeypatch):
-    def no_products(*args):
-        raise AssertionError("a ring product ran before the size check")
+def _inverse_work_of(a):
+    """The estimate `inverse` checks against ring.MAX_INVERSE_WORK."""
+    _, ints = ring._cleared(a.coeffs)
+    support = [i for i, c in enumerate(ints) if c]
+    d, window = len(ints), ints[support[0] : support[-1] + 1]
+    squares, lag1 = (sum(u * v for u, v in zip(window, window[k:])) for k in (0, 1))
+    real = a.n > 2 and d <= ring.MAX_REAL_NORM_PHI
+    return ring._norm_work(a.n, d, window, real, squares, lag1) + ring._output_work(
+        a.n, d, support[0], real, squares, lag1
+    )
 
-    monkeypatch.setattr(ring, "_mul_vecs", no_products)
-    for lit in ("1423:[1,2]", "6006:[1,2]", "99991:[1,1]", "131:[" + ",".join([str(10**400)] * 2) + "]"):
-        a = CycElt.parse(lit)
+
+def test_inverse_refuses_large_work_before_any_product(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a ring product or resultant ran before the size check")
+
+    rng = random.Random(107)
+    big = [
+        CycElt(99991, [1, 1]),
+        CycElt(99991, [1, 2]),
+        CycElt(131, [10**400] * 2),
+        CycElt(30030, [0, 1, 2]),  # t / zeta took 94 s to reduce modulo Phi_30030
+        CycElt(997, [1, 10**30]),  # 1e5-bit coordinates; the gcds alone took 5.6 s
+        CycElt(101, [rng.randint(-(2**385), 2**385) for _ in range(100)]),  # one took 10.5 s
+        CycElt(1381, [rng.randint(-9, 9) for _ in range(172)]),  # a block of d/8; one took 16.8 s
+    ]
+    monkeypatch.setattr(ring, "_mul_vecs", no_work)
+    monkeypatch.setattr(polys, "_remainder_sequence", no_work)
+    monkeypatch.setattr(polys, "_prem", no_work)
+    for a in big:
+        assert _inverse_work_of(a) > ring.MAX_INVERSE_WORK
         for attempt in (a.inverse, lambda: 1 / a, lambda: a**-1):
-            with pytest.raises(ValueError, match="inverse work estimate exceeds"):
+            with pytest.raises(ValueError, match=f"inverse work estimate exceeds {ring.MAX_INVERSE_WORK}"):
                 attempt()
 
 
 def test_inverse_work_estimate_at_the_cap():
-    # [1,2] at p: d = p - 1, bits(|A|_1) = bits(3) = 2, Phi_p has w = p terms, n - d = 1
-    assert ring._inverse_work(1409, [1, 2] + [0] * 1406) == 2 * (1408**2 + 1409) <= ring.MAX_INVERSE_WORK
-    assert ring._inverse_work(1423, [1, 2] + [0] * 1420) > ring.MAX_INVERSE_WORK
+    # [1,2] at 1409 on the Phi_n route: words = 1 + 1408 * bits(5) // 128 = 34;
+    # a window starting at 3 adds the reduction of t / zeta^3, (n - d) * w = 1409
+    assert ring._output_work(1409, 1408, 0, False, 5, 2) == 34 * 1408 * 34
+    assert ring._output_work(1409, 1408, 3, False, 5, 2) == 34 * (1408 * 34 + 1409)
+    # over the real subfield: a product of d^2 and min(n - d, d) = 1 reductions by Phi_7 (w = 7)
+    assert ring._output_work(7, 6, 0, True, 5, 2) == 1 * (6 * 1 + 36 + 7)
+    for lit in ("1409:[1,2]", "1423:[1,2]", "6006:[1,2]"):
+        assert _inverse_work_of(CycElt.parse(lit)) * 50 < ring.MAX_INVERSE_WORK
+    assert _inverse_work_of(CycElt(30030, [1, 2])) <= ring.MAX_INVERSE_WORK
+    assert _inverse_work_of(CycElt(16007, [1, 2])) > ring.MAX_INVERSE_WORK
+    # the benchmark's inverse workload: phi <= 48, coordinates up to 9 in size
+    rng = random.Random(109)
+    for n in (21, 44, 84):
+        a = CycElt(n, [rng.choice((-9, 9)) for _ in range(totient(n))])
+        assert _inverse_work_of(a) * 1000 < ring.MAX_INVERSE_WORK
 
 
 def _norm_work_of(a):
@@ -574,7 +661,7 @@ def test_caches_are_thread_safe():
     rng = random.Random(61)
     elts = [rand_elt(rng, n, max_den=3) for n in (7, 9, 12, 15, 16, 20, 21)]
     serial = [(a.inverse(), a.trace(), a.norm()) for a in elts]
-    for cache in (ring._ramanujan_sums, ring._orbit_steps, ring._real_cyclotomic, cyclotomic_poly):
+    for cache in (ring._ramanujan_sums, ring._real_cyclotomic, cyclotomic_poly):
         cache.cache_clear()
     results = [None] * 4
     start = threading.Barrier(len(results), timeout=30)
