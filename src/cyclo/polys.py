@@ -260,26 +260,26 @@ def cyclotomic_poly(n: int) -> Poly:
 
 
 def _prem(A, B, Q=None):
-    """Pseudo-remainder over Z: lc(B)^e * A mod B, e = deg A - deg B + 1.  Each
-    entry of A is scaled by lc(B)^e only as it enters the deg B + 1 entries a
-    step touches, and freed above them; each step divides its lead exactly by
-    lc(B).  A list Q of e zeros receives the pseudo-quotient: lc^e * A = Q*B + R."""
+    """Pseudo-remainder over Z: lc(B)^e * A mod B, e = deg A - deg B + 1, for
+    coefficient lists.  The top 2 * deg B + 2 entries of A are scaled by
+    lc(B)^e up front, any others only as they enter the deg B + 1 entries a
+    step touches, and each is dropped once its quotient is read, so a long
+    quotient holds O(deg B) scaled entries.  Each step divides its lead
+    exactly by lc(B).  A list Q of e zeros receives the pseudo-quotient:
+    lc(B)^e * A = Q * B + R."""
     dB, lb = len(B) - 1, B[-1]
-    R = list(A)
-    if len(R) > dB:
-        scale = lb ** (len(R) - dB)
-        R[len(R) - dB :] = (c * scale for c in R[len(R) - dB :])
-    for top in range(len(R) - 1, dB - 1, -1):
-        shift = top - dB
-        R[shift] *= scale
-        q = _exact_int_div(R[top], lb)
-        R[top] = 0
+    top = max(len(A) - dB, 0)
+    scale, lo = lb**top, max(top - dB - 2, 0)
+    R = A[:lo] + [c * scale for c in A[lo:]] if lo else [c * scale for c in A]
+    for shift in range(top - 1, -1, -1):
+        if shift < lo:
+            R[shift] *= scale
+        q = _exact_int_div(R.pop(), lb)
         if q:
             for i in range(dB):
                 R[shift + i] -= q * B[i]
             if Q is not None:
                 Q[shift] = q
-    del R[dB:]
     while R and R[-1] == 0:
         R.pop()
     return R
