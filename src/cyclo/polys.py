@@ -262,24 +262,26 @@ def cyclotomic_poly(n: int) -> Poly:
 def _prem(A, B, Q=None):
     """Pseudo-remainder over Z: lc(B)^e * A mod B, e = deg A - deg B + 1, for
     coefficient lists.  The top 2 * deg B + 2 entries of A are scaled by
-    lc(B)^e up front, any others only as they enter the deg B + 1 entries a
-    step touches, and each is dropped once its quotient is read, so a long
-    quotient holds O(deg B) scaled entries.  Each step divides its lead
+    lc(B)^e up front; any others are scaled only as they enter the deg B + 1
+    entries a step touches, and dropped once their quotient is read, so a
+    long quotient holds O(deg B) scaled entries.  Each step divides its lead
     exactly by lc(B).  A list Q of e zeros receives the pseudo-quotient:
     lc(B)^e * A = Q * B + R."""
     dB, lb = len(B) - 1, B[-1]
     top = max(len(A) - dB, 0)
-    scale, lo = lb**top, max(top - dB - 2, 0)
-    R = A[:lo] + [c * scale for c in A[lo:]] if lo else [c * scale for c in A]
+    scale, lo = lb**top, top - dB - 2
+    R = A[:lo] + [c * scale for c in A[lo:]] if lo > 0 else [c * scale for c in A]
     for shift in range(top - 1, -1, -1):
         if shift < lo:
             R[shift] *= scale
-        q = _exact_int_div(R.pop(), lb)
+            R[shift + dB + 1] = 0
+        q = _exact_int_div(R[shift + dB], lb)
         if q:
             for i in range(dB):
                 R[shift + i] -= q * B[i]
             if Q is not None:
                 Q[shift] = q
+    del R[dB:]
     while R and R[-1] == 0:
         R.pop()
     return R
