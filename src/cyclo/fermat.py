@@ -33,14 +33,22 @@ z <= 2^(1/p) * y, and z is found by bisection in the list of p-th powers
 from the first x the size cut admits up to the least Z with
 Z^p > 2*bound^p, starting from the z of the previous y.  The search is
 partitionable over disjoint x-ranges with a deterministic merge.
+
+That power list, the auxiliary primes and the masks depend on (p, bound)
+alone, so they are built once per search and shared by all its x-range
+chunks, across threads.  The shared tables keep at most MAX_POWER_BITS
+bits of powers and masks, the least recently used search evicted first.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .regularity import is_regular_prime
 from .errors import IrregularPrimeError
@@ -58,7 +66,8 @@ __all__ = [
 # Largest accepted bound (a search covers bound*(bound+1)/2 pairs), and a
 # limit on the size in bits of the p-th powers the search builds, estimated
 # as 2*bound + 1 entries of p * bit_length(2*bound + 1) bits each (the list
-# holds at most 2^(1/p) * bound + 1 of them).
+# holds at most 2^(1/p) * bound + 1 of them).  The tables shared between
+# searches keep at most as many bits in all.
 MAX_BOUND, MAX_POWER_BITS = 10_000, 1 << 30
 
 
@@ -121,40 +130,95 @@ def _least(holds, lo, hi):
     return lo
 
 
-def _powers(p, bound, lo, hi):
-    """(start, pth): start is the least x in lo..hi that the size cut
-    admits, i.e. with (x+1)^p - x^p <= x^p (start > hi if there is none), and
-    pth lists the p-th powers of start..Z for the least Z with
-    Z^p > 2*bound^p (Z > bound), or nothing when start > hi."""
-    start = _least(lambda x: (x + 1) ** p <= 2 * x**p, lo, hi)
-    if start > hi:
-        return start, []
+def _powers(p, bound):
+    """(x0, pth): x0 is the least x in 1..bound that the size cut admits,
+    i.e. with (x+1)^p - x^p <= x^p (x0 > bound if there is none), and pth
+    lists the p-th powers of x0..Z for the least Z with Z^p > 2*bound^p
+    (Z > bound), or nothing when x0 > bound.  The cut is monotone in x, so
+    a chunk lo..hi starts at max(lo, x0)."""
+    x0 = _least(lambda x: (x + 1) ** p <= 2 * x**p, 1, bound)
+    if x0 > bound:
+        return x0, []
     limit = 2 * bound**p
     top_z = _least(lambda z: z**p > limit, bound + 1, 2 * bound)
-    return start, [v**p for v in range(start, top_z + 1)]
+    return x0, [v**p for v in range(x0, top_z + 1)]
 
 
-def _sieve(p, bound, use_filter, start, hi, pth):
+class _Table(NamedTuple):
+    """What a search derives from (p, bound) alone: `_powers`, the mask of
+    the y prime to p over bound + 1 + p bits, and for each auxiliary prime
+    q the period-q pattern of every p-th-power residue class a mod q
+    expanded to bound + 1 bits, as (q, {a: mask})."""
+
+    x0: int
+    pth: list
+    coprime: int
+    sieves: list
+
+    def bits(self):
+        """An upper bound on the bits the table holds; pth is not empty."""
+        masks = self.coprime.bit_length() + sum(m.bit_length() for _, ms in self.sieves for m in ms.values())
+        return masks + len(self.pth) * self.pth[-1].bit_length()
+
+
+def _table(p, bound):
+    x0, pth = _powers(p, bound)
+    coprime = _periodic((1 << p) - 2, p, bound + 1 + p)
+    sieves = [
+        (q, {a: _periodic(bits, q, bound + 1) for a, bits in _residue_patterns(p, q).items()})
+        for q in _auxiliary_primes(p, bound)
+    ]
+    return _Table(x0, pth, coprime, sieves)
+
+
+class _Tables:
+    """A thread-safe cache of `_table` per (p, bound), keeping at most
+    MAX_POWER_BITS bits (`_Table.bits`) and evicting the least recently used
+    first; a table larger than that on its own is kept alone.  Tables are
+    built outside the lock, so two threads may build the same one and the
+    first inserted is kept."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._tables = OrderedDict()  # (p, bound) -> (bits, table), oldest first
+        self.bits = 0
+
+    def get(self, p, bound):
+        key = p, bound
+        with self._lock:
+            if key in self._tables:
+                self._tables.move_to_end(key)
+                return self._tables[key][1]
+        table = _table(p, bound)
+        entry = table.bits(), table
+        with self._lock:
+            if self._tables.setdefault(key, entry) is entry:
+                self.bits += entry[0]
+                while self.bits > MAX_POWER_BITS and len(self._tables) > 1:
+                    self.bits -= self._tables.popitem(last=False)[1][0]
+        return table
+
+
+_TABLES = _Tables()
+
+
+def _sieve(p, bound, use_filter, start, hi, table):
     """(x, ys) for each x in start..hi prime to p that keeps some y, where
     ys lists ascending the y in x..bound that pass every sieve: y prime to
     p, p not dividing x + y with the filter, x^p + y^p a p-th-power residue
-    or 0 mod each auxiliary prime, and y <= top(x).  (start, pth) is
-    `_powers(p, bound, lo, hi)`."""
-    coprime = _periodic((1 << p) - 2, p, bound + 1 + p)
-    sieves = [(q, _residue_patterns(p, q), {}) for q in _auxiliary_primes(p, bound)]
+    or 0 mod each auxiliary prime, and y <= top(x).  table is
+    `_table(p, bound)` and start >= table.x0."""
+    x0, pth, coprime, sieves = table
     top = start - 1
     for x in range(start, hi + 1):
         if x % p == 0:
             continue
-        xp = pth[x - start]
-        while top < bound and pth[top + 2 - start] - pth[top + 1 - start] <= xp:
+        xp = pth[x - x0]
+        while top < bound and pth[top + 2 - x0] - pth[top + 1 - x0] <= xp:
             top += 1
         mask = coprime & (coprime >> x % p) if use_filter else coprime
-        for q, patterns, expanded in sieves:
-            a = pow(x, p, q)
-            if a not in expanded:
-                expanded[a] = _periodic(patterns[a], q, bound + 1)
-            mask &= expanded[a]
+        for q, expanded in sieves:
+            mask &= expanded[pow(x, p, q)]
         bits = format((mask & (1 << top + 1) - (1 << x)) >> x, "b")[::-1]  # bits[i]: y = x + i
         ys, i = [], bits.find("1")
         while i >= 0:
@@ -168,7 +232,9 @@ def case_i_search(p: int, bound: int, use_filter: bool = True, x_range=None) -> 
     """Search the box 1 <= x <= y <= bound for x^p + y^p = z^p with
     gcd(xyz, p) = 1.  `x_range = (lo, hi)` restricts x to a chunk for
     partitioned runs; every (x, y) pair in the box counts as a candidate
-    whether or not it survives the coprimality screen or the filter.
+    whether or not it survives the coprimality screen or the filter.  The
+    p-th powers and masks are built once per (p, bound) and shared by its
+    chunks; at most MAX_POWER_BITS bits of them are kept in all.
     """
     _check_search(p, bound)
     lo, hi = x_range if x_range is not None else (1, bound)
@@ -181,14 +247,17 @@ def case_i_search(p: int, bound: int, use_filter: bool = True, x_range=None) -> 
             if x % p and first <= bound:
                 pruned += (bound - first) // p + 1
     solutions = []
-    start, pth = _powers(p, bound, lo, hi)
-    for x, ys in _sieve(p, bound, use_filter, start, hi, pth):
-        xp, z = pth[x - start], x + 1 - start
-        for y in ys:
-            s = xp + pth[y - start]
-            z = bisect_left(pth, s, z)  # z^p >= s, from the z of the last y
-            if pth[z] == s and (z + start) % p:
-                solutions.append((x, y, z + start))
+    # the cut is monotone in x, so a chunk whose last x it refuses needs no table
+    if lo <= hi and (hi + 1) ** p <= 2 * hi**p:
+        table = _TABLES.get(p, bound)
+        x0, pth = table.x0, table.pth
+        for x, ys in _sieve(p, bound, use_filter, max(lo, x0), hi, table):
+            xp, z = pth[x - x0], x + 1 - x0
+            for y in ys:
+                s = xp + pth[y - x0]
+                z = bisect_left(pth, s, z)  # z^p >= s, from the z of the last y
+                if pth[z] == s and (z + x0) % p:
+                    solutions.append((x, y, z + x0))
     return SearchReport(
         p=p,
         bound=bound,

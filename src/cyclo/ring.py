@@ -504,10 +504,15 @@ def zeta_pow(n: int, j: int) -> CycElt:
 def is_root_of_unity(a: CycElt):
     """(True, order) for the minimal m with a^m = 1, else (False, None).
 
-    Every root of unity in Q(zeta_n) has order dividing 2n, so only the
-    divisors of 2n are scanned.
+    A root of unity is integral with a * conj(a) = 1, and by Kronecker's
+    theorem such an element is one (conjugation commutes with the Galois
+    group, so every conjugate has absolute value 1); anything else is
+    rejected before any power.  Every root of unity in Q(zeta_n) has order
+    dividing 2n, so only the divisors of 2n are scanned.
     """
     one = CycElt.one(a.n)
+    if not (a.is_integral() and a * a.conj() == one):
+        return False, None
     for m in divisors(2 * a.n):
         if a**m == one:
             return True, m

@@ -5,7 +5,8 @@ the Moebius product over sparse binomials, Sylvester determinants via
 Bareiss elimination, Galois-conjugate folding, multiplication-matrix
 traces, the extended Euclidean inverse over Q, the inverse by a
 sequential cofactor product over the Galois conjugates and by doubling
-chains over the Galois orbits, the Case I search
+chains over the Galois orbits, roots of unity by a power per divisor of
+2n, the Case I search
 by a binary-search p-th root per pair and by a z-pointer over every pair,
 and Bernoulli numbers by the defining recurrence over Fractions.  They are
 deliberately slow and simple.
@@ -18,7 +19,7 @@ from functools import reduce
 
 from cyclo.errors import InternalInvariantError
 from cyclo.fermat import SearchReport
-from cyclo.ntheory import totient
+from cyclo.ntheory import divisors, totient
 from cyclo.polys import Poly, _scalar, cyclotomic_poly
 from cyclo.ring import CycElt, _cleared, _divided, _galois_vec, _mul_vecs, zeta_pow
 
@@ -235,6 +236,16 @@ def orbit_chain_inverse(a):
     if any(full[1:]) or not full[0]:
         raise InternalInvariantError("conjugate product is not a nonzero rational")
     return CycElt._of(n, _divided(tuple(c * m for c in cof), full[0]))
+
+
+def divisor_scan_root_of_unity(a):
+    """(True, order) for the least m dividing 2n with a^m = 1, else
+    (False, None): a power of a for every divisor of 2n."""
+    one = CycElt.one(a.n)
+    for m in divisors(2 * a.n):
+        if a**m == one:
+            return True, m
+    return False, None
 
 
 # -- Case I search by bisection roots --------------------------------------------

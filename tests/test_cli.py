@@ -254,6 +254,24 @@ def test_case1_at_the_bound_cap_ends_within_budget(capsys, argv, prefix):
     assert out.startswith(prefix) and out.endswith(" solutions=0\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the two slowest p^k with 1200 <= phi(p^k) <= MAX_DISC_PHI (1458 and
+        # 2058), and the largest prime at the cap
+        ["disc", "3", "7", "--quiet"],
+        ["disc", "7", "4", "--quiet"],
+        ["disc", "2399", "1", "--quiet"],
+    ],
+)
+def test_disc_at_the_phi_cap_ends_within_budget(capsys, argv):
+    start = time.monotonic()
+    assert run(argv) == 0
+    assert time.monotonic() - start < 10
+    out = capsys.readouterr().out
+    assert out.startswith("formula=-") and out.endswith(" agree=true\n")
+
+
 def test_results_past_the_int_digit_limit_print(capsys):
     p = 16007  # the norm of 1 + 2 zeta_p is (2^p + 1) / 3, 4819 digits
     limit = sys.get_int_max_str_digits()

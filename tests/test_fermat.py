@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 
@@ -128,7 +129,7 @@ def test_search_matches_bisection_oracle(p):
     # which ends the chunks that build no power list; 101 has no auxiliary
     # prime in these boxes.
     for bound in (0, 1, 2, 3, 6, 13, 27, 40):
-        first = fermat._powers(p, bound, 1, bound)[0]
+        first = fermat._powers(p, bound)[0]
         edges = [(first - 1, first - 1), (first, first), (1, first - 1), (first, bound)]
         for use_filter in (True, False):
             for x_range in X_RANGES + edges:
@@ -217,8 +218,8 @@ def _brute_survivors(p, bound, use_filter, lo, hi):
 
 def _survivors(p, bound, use_filter, lo, hi):
     lo, hi = max(lo, 1), min(hi, bound)
-    start, pth = fermat._powers(p, bound, lo, hi)
-    return dict(fermat._sieve(p, bound, use_filter, start, hi, pth))
+    table = fermat._table(p, bound)
+    return dict(fermat._sieve(p, bound, use_filter, max(lo, table.x0), hi, table))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
@@ -252,16 +253,17 @@ def test_size_cut_drops_only_pairs_too_far_apart():
 def test_powers_start_at_the_cut_and_end_past_every_z():
     for p in (3, 5, 7, 13, 101):
         for bound in (1, 4, 10, 60, 200):
+            x0, pth = fermat._powers(p, bound)
             for lo, hi in [(1, bound), (3, min(8, bound)), (bound, bound)]:
-                start, pth = fermat._powers(p, bound, lo, hi)
+                # a chunk starts at max(lo, x0), the first x of lo..hi the cut admits
                 admitted = [x for x in range(lo, hi + 1) if (x + 1) ** p - x**p <= x**p]
-                assert start == (admitted[0] if admitted else max(lo, hi + 1))
-                if not admitted:
-                    assert pth == []
-                    continue
-                top_z = start + len(pth) - 1
-                assert pth == [v**p for v in range(start, top_z + 1)]
-                assert (top_z - 1) ** p <= 2 * bound**p < top_z**p and top_z > bound
+                assert max(lo, x0) == admitted[0] if admitted else max(lo, x0) > hi
+            if x0 > bound:
+                assert pth == []
+                continue
+            top_z = x0 + len(pth) - 1
+            assert pth == [v**p for v in range(x0, top_z + 1)]
+            assert (top_z - 1) ** p <= 2 * bound**p < top_z**p and top_z > bound
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
@@ -274,9 +276,10 @@ def test_search_matches_pointer_walk_in_larger_boxes(p):
                 assert got == pointer_walk_case_i_search(p, bound, use_filter, x_range), (bound, x_range)
 
 
-def test_residue_patterns_cache_is_thread_safe():
+def test_residue_patterns_cache_is_thread_safe(monkeypatch):
     serial = [case_i_search(p, 120) for p in (7, 11, 13)]
     fermat._residue_patterns.cache_clear()
+    monkeypatch.setattr(fermat, "_TABLES", fermat._Tables())
     results = [None] * 4
     barrier = threading.Barrier(len(results), timeout=30)
 
@@ -296,3 +299,88 @@ def test_residue_patterns_cache_is_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * len(results)
+
+
+# -- the tables shared by a search's chunks --------------------------------------
+
+
+def _seeded_chunks(rng, bound, pieces):
+    """x-ranges that cover 1..bound, the outer ones reaching past it."""
+    cuts = sorted(rng.sample(range(1, bound), pieces - 1))
+    edges = [-3] + cuts + [bound + 5]
+    return [(a + 1 if i else a, b) for i, (a, b) in enumerate(zip(edges, edges[1:]))]
+
+
+def _retained_bits(tables):
+    return sum(bits for bits, _ in tables._tables.values())
+
+
+def test_interleaved_chunks_of_different_searches_merge_to_the_whole(monkeypatch):
+    monkeypatch.setattr(fermat, "_TABLES", fermat._Tables())
+    rng = random.Random(2027)
+    searches = [(p, bound) for p in (3, 5, 7, 13, 101) for bound in (150, 310)]
+    plan = [(s, xr) for s in searches for xr in _seeded_chunks(rng, s[1], 6)]
+    rng.shuffle(plan)
+    reports = {s: [] for s in searches}
+    for (p, bound), xr in plan:
+        reports[p, bound].append(case_i_search(p, bound, x_range=xr))
+    for (p, bound), chunks in reports.items():
+        merged = merge_reports(chunks)
+        assert merged == case_i_search(p, bound) == pointer_walk_case_i_search(p, bound), (p, bound)
+
+
+def test_shared_tables_under_thread_stress(monkeypatch):
+    searches = [(p, bound) for p in (3, 5, 7, 13) for bound in (90, 150)]
+    serial = {s: case_i_search(*s) for s in searches}
+    # a limit every search passes, too small to keep every table, so they are evicted
+    limit = max(p * (2 * bound + 1) * (2 * bound + 1).bit_length() for p, bound in searches)
+    sizes = [fermat._table(*s).bits() for s in searches]
+    assert max(sizes) <= limit < sum(sizes)
+    tables = fermat._Tables()
+    monkeypatch.setattr(fermat, "_TABLES", tables)
+    monkeypatch.setattr(fermat, "MAX_POWER_BITS", limit)
+    results = [None] * 6
+    over = []
+    barrier = threading.Barrier(len(results), timeout=30)
+
+    def work(slot):
+        rng = random.Random(slot)
+        plan = [(s, xr) for s in searches for xr in _seeded_chunks(rng, s[1], 5)]
+        rng.shuffle(plan)
+        got = {s: [] for s in searches}
+        barrier.wait()
+        for s, xr in plan:
+            got[s].append(case_i_search(*s, x_range=xr))
+            if tables.bits > limit:
+                over.append(tables.bits)
+        results[slot] = {s: merge_reports(chunks) for s, chunks in got.items()}
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * len(results)
+    assert over == [] and tables.bits == _retained_bits(tables) <= limit
+    assert len(tables._tables) < len(searches)
+
+
+def test_tables_at_the_bound_cap_stay_within_the_bit_limit(monkeypatch):
+    tables = fermat._Tables()
+    monkeypatch.setattr(fermat, "_TABLES", tables)
+    # the size cut admits x >= 5152 for 3571, so these chunks build no table
+    for x_range in [(1, 5151), (9, 3), (MAX_BOUND + 1, MAX_BOUND + 9)]:
+        assert case_i_search(3571, MAX_BOUND, x_range=x_range).solutions == ()
+    assert tables.bits == 0 and not tables._tables
+    for p in (3, 5, 3571):
+        assert case_i_search(p, MAX_BOUND, x_range=(MAX_BOUND, MAX_BOUND)).solutions == ()
+        assert tables.bits == _retained_bits(tables) <= MAX_POWER_BITS
+        for _, table in tables._tables.values():
+            assert sum(v.bit_length() for v in table.pth) <= table.bits()
+    assert list(tables._tables) == [(3, MAX_BOUND), (5, MAX_BOUND), (3571, MAX_BOUND)]

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -22,6 +23,7 @@ from cyclo.ring import (
 from oracles import (
     _orbit_steps,
     conjugate_product_norm,
+    divisor_scan_root_of_unity,
     euclid_inverse,
     mult_matrix_trace,
     orbit_chain_inverse,
@@ -563,6 +565,28 @@ def test_is_root_of_unity_examples():
     assert is_root_of_unity(CycElt(5, -1)) == (True, 2)
     assert is_root_of_unity(CycElt.one(5)) == (True, 1)
     assert is_root_of_unity(1 + z) == (False, None)
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_root_of_unity_matches_divisor_scan(n):
+    rng = random.Random(89 + n)
+    z = zeta_pow(n, 1)
+    for k in range(n):
+        for a in (zeta_pow(n, k), -zeta_pow(n, k)):
+            got = is_root_of_unity(a)
+            assert got[0] and got == divisor_scan_root_of_unity(a), (n, k)
+    others = [CycElt.zero(n), 1 + z, 2 * z, rand_elt(rng, n, -2, 2), rand_elt(rng, n, max_den=3)]
+    for a in others:
+        assert is_root_of_unity(a) == divisor_scan_root_of_unity(a), (n, a)
+
+
+def test_non_roots_of_unity_are_rejected_before_any_power():
+    # not integral, yet a * conj(a) = 1: (3 + 4i) / 5
+    assert is_root_of_unity(CycElt.parse("4:[3/5,4/5]")) == (False, None)
+    for text in ("1009:[2,1]", "2003:[1,1]"):
+        start = time.monotonic()
+        assert is_root_of_unity(CycElt.parse(text)) == (False, None)
+        assert time.monotonic() - start < 1, text
 
 
 def _full_degree_norm(a):
