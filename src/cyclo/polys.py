@@ -6,21 +6,26 @@ nonzero; the zero polynomial is the empty tuple and its ``degree`` is None
 integral values are normalized to int so that integer polynomials stay on
 the fast int path.
 
-Includes the n-th cyclotomic polynomial (recursive exact division, cached),
-resultants by a fraction-free subresultant remainder sequence, which can
-also track the cofactor that inverts a polynomial modulo another,
-polynomial discriminants, and the closed-form discriminant of prime-power
-cyclotomic fields.
+Includes the n-th cyclotomic polynomial from its Moebius product form, one
+strided pass per binomial factor (cached; the passes also serve the
+reduction modulo Phi_n in `ring`), resultants by a fraction-free
+subresultant remainder sequence, which can also track the cofactor that
+inverts a polynomial modulo another, polynomial discriminants, and the
+closed-form discriminant of prime-power cyclotomic fields.  Nothing here
+divides one polynomial by another except as the pseudo-remainder of that
+sequence.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import re
 from fractions import Fraction
 
 from .errors import InternalInvariantError
-from .ntheory import factorize, is_prime, totient
+from .ntheory import divisors, is_prime, moebius, totient
 
 __all__ = [
     "MAX_CONDUCTOR",
@@ -45,14 +50,6 @@ def _scalar(c):
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     raise TypeError(f"exact coefficient required (int or Fraction), got {type(c).__name__}")
-
-
-def _div(a, b):
-    """Exact scalar division a/b, staying int when possible."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    return _scalar(Fraction(a) / Fraction(b))
 
 
 def _exact_int_div(a, b):
@@ -160,64 +157,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial power must be a non-negative integer")
-        result = Poly([1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        g = other.coeffs
-        dg, lg = len(g) - 1, g[-1]
-        r = list(self.coeffs)
-        q = [0] * max(len(r) - dg, 0)
-        while len(r) > dg:
-            shift = len(r) - 1 - dg
-            c = r[-1] if lg == 1 else _div(r[-1], lg)
-            q[shift] = c
-            for i, gc in enumerate(g):
-                r[shift + i] -= c * gc
-            while r and r[-1] == 0:
-                r.pop()
-        return Poly(q), Poly(r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __call__(self, x):
-        """Horner evaluation."""
-        result = 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return _scalar(result) if isinstance(result, (int, Fraction)) else result
-
     def derivative(self):
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def compose_xpow(self, k):
-        """f(X^k): spread coefficients k apart."""
-        if k < 1:
-            raise ValueError("compose_xpow requires k >= 1")
-        if not self.coeffs:
-            return Poly()
-        out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Poly(out)
 
 
 # Largest accepted conductor.  Element arithmetic in Q(zeta_n) builds lists of
@@ -234,13 +175,44 @@ def check_conductor(n) -> int:
 
 
 @functools.cache
+def _product_form(n: int):
+    """(phi(n), ups, downs) with Phi_n = prod (1 - X^d) over d in ups divided
+    by prod (1 - X^d) over d in downs, for n > 1: the Moebius product over
+    the divisors d of n with moebius(n/d) = 1 and -1.  Cached per process
+    (a thread-safe idempotent memo)."""
+    ds = [(d, moebius(n // d)) for d in divisors(n)]
+    return totient(n), tuple(d for d, mu in ds if mu == 1), tuple(d for d, mu in ds if mu == -1)
+
+
+def _times_binomials(c, ups, downs):
+    """c times prod (1 - X^d) over ups, divided by prod (1 - X^d) over downs,
+    as power series truncated at len(c), in place; ints or Fractions.  Each
+    factor is one strided pass (Arnold and Monagan, Math. Comp. 80, 2011): a
+    difference at stride d, or prefix sums at stride d, taken per residue
+    class or per block of d, whichever needs fewer steps.  Differences go
+    first, so the entries stay small.  ups and downs are ascending, and a
+    factor with d >= len(c) changes nothing and ends its list."""
+    size = len(c)
+    for d in itertools.takewhile(size.__gt__, ups):
+        c[d:] = map(operator.sub, c[d:], c[:-d])
+    for d in itertools.takewhile(size.__gt__, downs):
+        if d * d < size:
+            for r in range(d):
+                c[r::d] = itertools.accumulate(c[r::d])
+        else:
+            for j in range(d, size, d):
+                c[j : j + d] = map(operator.add, c[j : j + d], c[j - d : j])
+    return c
+
+
+@functools.cache
 def cyclotomic_poly(n: int) -> Poly:
     """The n-th cyclotomic polynomial, monic of degree phi(n).
 
-    Built by recursive exact division: with p the largest prime factor of n
-    and m = n // p, Phi_n(X) = Phi_m(X^p) / Phi_m(X) when p does not divide
-    m, and Phi_n(X) = Phi_m(X^p) when it does.  Cached per process (the
-    cache is a thread-safe idempotent memo).  n must pass check_conductor.
+    For n > 1 it is the product form of `_product_form`, built as a power
+    series truncated at degree phi(n) + 1 by `_times_binomials`; nothing is
+    divided.  Cached per process (the cache is a thread-safe idempotent
+    memo).  n must pass check_conductor.
 
     >>> cyclotomic_poly(12)
     Poly((1, 0, -1, 0, 1))
@@ -248,15 +220,8 @@ def cyclotomic_poly(n: int) -> Poly:
     check_conductor(n)
     if n == 1:
         return Poly((-1, 1))
-    p = factorize(n)[-1][0]
-    m = n // p
-    lifted = cyclotomic_poly(m).compose_xpow(p)
-    if m % p == 0:
-        return lifted
-    q, r = divmod(lifted, cyclotomic_poly(m))
-    if r:
-        raise InternalInvariantError("cyclotomic division left a remainder")
-    return q
+    phi, ups, downs = _product_form(n)
+    return Poly(_times_binomials([1] + [0] * phi, ups, downs))
 
 
 def _prem(A, B, Q=None):
@@ -350,7 +315,8 @@ def resultant_cofactor(f: Poly, g: Poly):
     f and an integer g coprime to it (reduced modulo f first if longer): c is
     the last remainder of the sequence `resultant` takes.  When deg g >=
     deg f - 1, as for dense elements, the sequence tracks t itself; otherwise
-    it tracks f's cofactor u, shorter than g, and t = (c - u * f) / g.
+    it tracks f's cofactor u, shorter than g, and t = (c - u * f) / g, the
+    pseudo-quotient of `_prem` over lc(g)^e, both divisions checked exact.
 
     >>> resultant_cofactor(Poly([1, 0, 1]), Poly([1, 1]))  # (1 - X)(1 + X) = 2 mod X^2 + 1
     ([1, -1], 2)
@@ -367,10 +333,12 @@ def resultant_cofactor(f: Poly, g: Poly):
         raise InternalInvariantError("cofactor of a polynomial that shares a factor with the modulus")
     if direct:
         return u, last[0]
-    t, r = divmod(last[0] - Poly(u) * f, g)
-    if r or not t.is_integral():
+    rest = list((last[0] - Poly(u) * f).coeffs)
+    Q = [0] * (len(rest) - len(B) + 1)
+    scale = B[-1] ** len(Q)
+    if _prem(rest, B, Q) or any(q % scale for q in Q):
         raise InternalInvariantError("inexact division in subresultant sequence")
-    return list(t.coeffs), last[0]
+    return [q // scale for q in Q], last[0]
 
 
 def discriminant(f: Poly) -> int:

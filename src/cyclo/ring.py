@@ -4,12 +4,14 @@ An element is a vector of phi(n) exact coordinates over the power basis
 1, zeta, ..., zeta^(phi(n)-1), kept reduced modulo the n-th cyclotomic
 polynomial.  Every construction, product, Galois image and inverse goes
 through one map, `_reduce`: exponents fold modulo n, then the remainder
-is taken by synthetic division by the cached monic Phi_n.  The reduced
-form is unique, so equality is coordinate comparison.  Integer
-coordinates are stored as int; the elements with all integer coordinates
-are exactly the members of Z[zeta_n] (for prime-power n this ring is the
-full ring of integers; for other n the predicate means membership in
-Z[zeta_n], nothing more).
+is taken through the product form Phi_n = prod (1 - X^d)^moebius(n/d),
+one strided pass per factor for the quotient and one for its product
+with Phi_n, so a reduction of k places costs about k per factor and no
+polynomial is divided.  The reduced form is unique, so equality is
+coordinate comparison.  Integer coordinates are stored as int; the
+elements with all integer coordinates are exactly the members of
+Z[zeta_n] (for prime-power n this ring is the full ring of integers; for
+other n the predicate means membership in Z[zeta_n], nothing more).
 
 Nothing divides polynomials over Q, and products clear denominators
 first, so the product loop multiplies ints only.  The trace reads a table
@@ -25,7 +27,7 @@ c = t * g modulo f: a^-1 = conj(a) * t(zeta + 1/zeta) / c, or t / c.
 
 Everything is immutable and every operation is a pure function; the only
 shared state is the per-conductor Ramanujan-sum and Psi_n tables here and
-the Phi_n cache in `polys`, all idempotent caches.
+the Phi_n and product-form caches in `polys`, all idempotent caches.
 
 >>> z = CycElt.zeta(5)
 >>> (1 + z) * (1 + z**4)
@@ -44,12 +46,14 @@ from fractions import Fraction
 
 from .errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
 from .ntheory import check_odd_prime, divisors, moebius, totient
-from .polys import Poly, _scalar, check_conductor, cyclotomic_poly, format_scalar, parse_scalar
+from .polys import Poly, _product_form, _scalar, _times_binomials, check_conductor, cyclotomic_poly
+from .polys import format_scalar, parse_scalar
 from .polys import resultant, resultant_cofactor
 
 __all__ = [
     "MAX_INVERSE_WORK",
     "MAX_NORM_WORK",
+    "MAX_ROOT_WORK",
     "CycElt",
     "UnitDecomposition",
     "decompose_unit",
@@ -62,26 +66,22 @@ __all__ = [
 
 def _reduce(n, raw, fractions=True):
     """The canonical length-phi(n) form of sum raw[i] * zeta^i: fold the
-    exponents modulo n (zeta^n = 1), then take the remainder of the
-    division by the monic Phi_n, top coefficient first.  Each step applies
-    only the nonzero lower terms of Phi_n; the cleared top entry is never
-    read again.  With fractions=False the caller promises int entries, and
-    the coordinates are returned without normalizing each one."""
-    phi = cyclotomic_poly(n).coeffs
-    d = len(phi) - 1
+    exponents modulo n (zeta^n = 1), then take the remainder r = v - q * Phi_n
+    of the folded v, both products by the strided passes of the product
+    form.  Phi_n is palindromic for n > 1, so the reversed quotient is the
+    reversed top of v times 1/Phi_n, truncated: the same passes with the
+    roles of the two factor lists swapped.  With fractions=False the caller
+    promises int entries, and the coordinates are returned without
+    normalizing each one."""
+    d, ups, downs = _product_form(n)
     vec = [0] * max(d, min(n, len(raw)))
     for i, c in enumerate(raw):
         if c:
             vec[i % n] += c
     if len(vec) > d:
-        terms = [(i, p) for i, p in enumerate(phi[:d]) if p]
-        for j in range(len(vec) - 1, d - 1, -1):
-            c = vec[j]
-            if c:
-                shift = j - d
-                for i, p in terms:
-                    vec[shift + i] -= c * p
-    return tuple(_scalar(c) for c in vec[:d]) if fractions else tuple(vec[:d])
+        q = _times_binomials(vec[: d - 1 : -1], downs, ups)[::-1][:d]
+        vec = map(operator.sub, vec[:d], _times_binomials(q + [0] * (d - len(q)), ups, downs))
+    return tuple(map(_scalar, vec)) if fractions else tuple(vec)
 
 
 def _cleared(vec):
@@ -215,11 +215,13 @@ def _output_work(n, d, start, real, squares, lag1):
     """The word operations of `inverse` after the subresultant sequence, all
     of it for sparse elements with large coordinates: d gcds of numbers of
     `words` words, the norm's size bound; over the real subfield a product
-    of d^2 and its reduction, w (the nonzero terms of Phi_n) per cleared
-    place; over Phi_n the reduction of t / zeta^start over n - d places."""
+    of d^2 and the reduction of its fewer than 2d places; over Phi_n the
+    reduction of t / zeta^start, n places after the fold.  A reduction of k
+    places takes at most k per factor of Phi_n's product form."""
     words = 1 + d * min(squares, 2 * (squares - lag1)).bit_length() // 128
-    w = sum(1 for c in cyclotomic_poly(n).coeffs if c)
-    clear = d * d + min(n - d, d) * w if real else (n - d) * w if start else 0
+    _, ups, downs = _product_form(n)
+    passes = len(ups) + len(downs)
+    clear = d * d + passes * min(n, 2 * d) if real else passes * n if start else 0
     return words * (d * words + clear)
 
 
@@ -501,6 +503,16 @@ def zeta_pow(n: int, j: int) -> CycElt:
     return CycElt(n, [0] * (j % check_conductor(n)) + [1])
 
 
+# Largest `d * (nonzero coordinates) * (words of the largest one)` that
+# `is_root_of_unity` accepts: its one product, a * conj(a), runs over the
+# nonzero coordinates of a against the d of conj(a).  On a 2-vCPU Xeon VM with
+# Python 3.11, dense elements (primes 1009-5477, coordinates +-9 to 2^1000)
+# and blocks (at 9973-99991) took 60-170 s per billion of it; just inside the
+# limit the slowest of six shapes, a dense 1000-bit element at 1367, took
+# 3.2 s, and a dense +-9 one at 5477 2.8 s.
+MAX_ROOT_WORK = 30_000_000
+
+
 def is_root_of_unity(a: CycElt):
     """(True, order) for the minimal m with a^m = 1, else (False, None).
 
@@ -508,10 +520,18 @@ def is_root_of_unity(a: CycElt):
     theorem such an element is one (conjugation commutes with the Galois
     group, so every conjugate has absolute value 1); anything else is
     rejected before any power.  Every root of unity in Q(zeta_n) has order
-    dividing 2n, so only the divisors of 2n are scanned.
+    dividing 2n, so only the divisors of 2n are scanned.  An integral
+    element above MAX_ROOT_WORK is refused with ValueError before any
+    product.
     """
     one = CycElt.one(a.n)
-    if not (a.is_integral() and a * a.conj() == one):
+    if not a.is_integral():
+        return False, None
+    nonzero = [c for c in a.coeffs if c]
+    words = 1 + max(map(abs, nonzero), default=0).bit_length() // 64
+    if len(a.coeffs) * len(nonzero) * words > MAX_ROOT_WORK:
+        raise ValueError(f"root-of-unity work estimate exceeds {MAX_ROOT_WORK}")
+    if a * a.conj() != one:
         return False, None
     for m in divisors(2 * a.n):
         if a**m == one:

@@ -1,14 +1,15 @@
 """Independent reference implementations used to derive expected values.
 
 Each oracle takes a different route than the library: brute-force counts,
-the Moebius product over sparse binomials, Sylvester determinants via
-Bareiss elimination, Galois-conjugate folding, multiplication-matrix
-traces, the extended Euclidean inverse over Q, the inverse by a
-sequential cofactor product over the Galois conjugates and by doubling
-chains over the Galois orbits, roots of unity by a power per divisor of
-2n, the Case I search
-by a binary-search p-th root per pair and by a z-pointer over every pair,
-and Bernoulli numbers by the defining recurrence over Fractions.  They are
+the Moebius product over sparse binomials, polynomial long division over
+Q, Phi_n by recursive exact division, the reduction modulo Phi_n by
+folding and dividing, Sylvester determinants via Bareiss elimination,
+Galois-conjugate folding, multiplication-matrix traces, the extended
+Euclidean inverse over Q, the inverse by a sequential cofactor product
+over the Galois conjugates and by doubling chains over the Galois orbits,
+roots of unity by a power per divisor of 2n, the Case I search by a
+binary-search p-th root per pair and by a z-pointer over every pair, and
+Bernoulli numbers by the defining recurrence over Fractions.  They are
 deliberately slow and simple.
 """
 
@@ -19,7 +20,7 @@ from functools import reduce
 
 from cyclo.errors import InternalInvariantError
 from cyclo.fermat import SearchReport
-from cyclo.ntheory import divisors, totient
+from cyclo.ntheory import divisors, factorize, totient
 from cyclo.polys import Poly, _scalar, cyclotomic_poly
 from cyclo.ring import CycElt, _cleared, _divided, _galois_vec, _mul_vecs, zeta_pow
 
@@ -76,6 +77,101 @@ def cyclotomic_moebius(n):
     return Poly(coeffs)
 
 
+# -- polynomial division over Q ----------------------------------------------
+
+
+def _div(a, b):
+    """Exact scalar division a/b, staying int when possible."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return _scalar(Fraction(a) / Fraction(b))
+
+
+def poly_divmod(f, g):
+    """(q, r) with f = q * g + r and deg r < deg g, by long division over Q."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    g = g.coeffs
+    dg, lg = len(g) - 1, g[-1]
+    r = list(f.coeffs)
+    q = [0] * max(len(r) - dg, 0)
+    while len(r) > dg:
+        shift = len(r) - 1 - dg
+        c = r[-1] if lg == 1 else _div(r[-1], lg)
+        q[shift] = c
+        for i, gc in enumerate(g):
+            r[shift + i] -= c * gc
+        while r and r[-1] == 0:
+            r.pop()
+    return Poly(q), Poly(r)
+
+
+def poly_eval(f, x):
+    """f(x) by Horner's rule."""
+    result = 0
+    for c in reversed(f.coeffs):
+        result = result * x + c
+    return _scalar(result)
+
+
+def poly_pow(f, k):
+    """f^k for an integer k >= 0, by repeated squaring."""
+    result = Poly([1])
+    while k:
+        if k & 1:
+            result = result * f
+        f = f * f
+        k >>= 1
+    return result
+
+
+def compose_xpow(f, k):
+    """f(X^k): coefficients spread k apart."""
+    out = [0] * ((len(f.coeffs) - 1) * k + 1) if f else []
+    for i, c in enumerate(f.coeffs):
+        out[i * k] = c
+    return Poly(out)
+
+
+@functools.cache
+def recursive_cyclotomic(n):
+    """Phi_n by recursive exact division: with p the largest prime factor of
+    n and m = n // p, Phi_n(X) = Phi_m(X^p) / Phi_m(X) when p does not
+    divide m, and Phi_m(X^p) when it does."""
+    if n == 1:
+        return Poly((-1, 1))
+    p = factorize(n)[-1][0]
+    m = n // p
+    lifted = compose_xpow(recursive_cyclotomic(m), p)
+    if m % p == 0:
+        return lifted
+    q, r = poly_divmod(lifted, recursive_cyclotomic(m))
+    assert not r, "cyclotomic division left a remainder"
+    return q
+
+
+def fold_divide_reduce(n, raw):
+    """The canonical coordinates of sum raw[i] * zeta^i: fold the exponents
+    modulo n, then take the remainder of the division by the monic Phi_n,
+    top coefficient first, applying only the nonzero lower terms of Phi_n."""
+    phi = recursive_cyclotomic(n).coeffs
+    d = len(phi) - 1
+    vec = [0] * max(d, min(n, len(raw)))
+    for i, c in enumerate(raw):
+        if c:
+            vec[i % n] += c
+    if len(vec) > d:
+        terms = [(i, p) for i, p in enumerate(phi[:d]) if p]
+        for j in range(len(vec) - 1, d - 1, -1):
+            c = vec[j]
+            if c:
+                shift = j - d
+                for i, p in terms:
+                    vec[shift + i] -= c * p
+    return tuple(_scalar(c) for c in vec[:d])
+
+
 def cyclotomic_by_definition(n, _memo={}):
     """Phi_n by the literal definition (X^n - 1) / prod of proper-divisor
     cyclotomics, all recursively from this same definition."""
@@ -84,7 +180,7 @@ def cyclotomic_by_definition(n, _memo={}):
     f = Poly.monomial(n) - 1
     for d in range(1, n):
         if n % d == 0:
-            f, r = divmod(f, cyclotomic_by_definition(d))
+            f, r = poly_divmod(f, cyclotomic_by_definition(d))
             assert not r
     _memo[n] = f
     return f
@@ -151,7 +247,7 @@ def euclid_inverse(a):
     r0, r1 = cyclotomic_poly(a.n), a.as_poly()
     t0, t1 = Poly(), Poly([1])
     while r1.degree > 0:
-        q, r = divmod(r0, r1)
+        q, r = poly_divmod(r0, r1)
         r0, r1 = r1, r
         t0, t1 = t1, t0 - q * t1
     if not r1:

@@ -240,6 +240,26 @@ def test_sparse_units_at_the_conductor_cap_end_within_budget(capsys, argv, prefi
 @pytest.mark.parametrize(
     "argv, prefix",
     [
+        # zeta^-1 at composite conductors with n - phi(n) large: the
+        # reduction of a length-n vector (6-7 s each by fold-and-divide)
+        (["elt", "conj", "30030:[0,1]", "--quiet"], "30030:[1,-1,0,0,-1,1,-2,1,-1,0,-1,0,-1,0,0,-2,2,-3"),
+        (["elt", "conj", "60060:[0,1]", "--quiet"], "60060:[0,1,0,-1,0,0,0,0,0,-1,0,1,0,-2,0,1,0,-1,0,0"),
+        (["elt", "conj", "90090:[0,1]", "--quiet"], "90090:[0,0,1,0,0,-1,0,0,0,0,0,0,0,0,-1,0,0,1,0,0,-"),
+        (["elt", "is-real", "30030:[0,1]", "--quiet"], "false\n"),
+        (["elt", "is-real", "60060:[0,1]", "--quiet"], "false\n"),
+        (["elt", "is-real", "90090:[0,1]", "--quiet"], "false\n"),
+    ],
+)
+def test_conjugates_at_composite_conductors_end_within_budget(capsys, argv, prefix):
+    start = time.monotonic()
+    assert run(argv) == 0
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().out.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
         # the bound cap; 3571 is the largest prime whose powers pass MAX_POWER_BITS there
         (["case1", "3", "--bound", "10000"], "p=3 bound=10000 candidates=50005000 "),
         (["case1", "5", "--bound", "10000", "--skip-regularity"], "p=5 bound=10000 "),

@@ -19,9 +19,19 @@ from cyclo.polys import (
     resultant,
     resultant_cofactor,
 )
-from oracles import cyclotomic_by_definition, cyclotomic_moebius, sylvester_resultant
+from oracles import (
+    compose_xpow,
+    cyclotomic_by_definition,
+    cyclotomic_moebius,
+    poly_divmod,
+    poly_eval,
+    poly_pow,
+    recursive_cyclotomic,
+    sylvester_resultant,
+)
 
 X = Poly((0, 1))
+X2, X3 = poly_pow(X, 2), poly_pow(X, 3)
 
 
 def test_normalization_strips_trailing_zeros():
@@ -33,7 +43,7 @@ def test_normalization_strips_trailing_zeros():
 def test_degree_of_zero_is_a_marker():
     assert Poly().degree is None
     assert Poly([5]).degree == 0
-    assert (X**3).degree == 3
+    assert (X3).degree == 3
 
 
 def test_rejects_floats():
@@ -50,13 +60,13 @@ def test_rejects_floats():
     ],
 )
 def test_eval_examples(f, x, expected):
-    assert f(x) == expected
+    assert poly_eval(f, x) == expected
 
 
 def test_divmod_examples():
-    assert divmod(X**2 - 1, X - 1) == (X + 1, Poly())
-    assert divmod(X**3, X) == (X**2, Poly())
-    assert divmod(X**2 + 1, X + 1) == (X - 1, Poly([2]))
+    assert poly_divmod(X2 - 1, X - 1) == (X + 1, Poly())
+    assert poly_divmod(X3, X) == (X2, Poly())
+    assert poly_divmod(X2 + 1, X + 1) == (X - 1, Poly([2]))
 
 
 def test_divmod_contract_on_randoms():
@@ -64,14 +74,14 @@ def test_divmod_contract_on_randoms():
     for _ in range(200):
         f = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 7))])
         g = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice([-3, -1, 1, 2])])
-        q, r = divmod(f, g)
+        q, r = poly_divmod(f, g)
         assert q * g + r == f
         assert not r or r.degree < g.degree
 
 
 def test_division_by_zero_poly():
     with pytest.raises(ZeroDivisionError):
-        divmod(X, Poly())
+        poly_divmod(X, Poly())
 
 
 @pytest.mark.parametrize(
@@ -93,8 +103,10 @@ def test_cyclotomic_rejects_zero():
 
 
 def test_cyclotomic_matches_literal_definition():
-    for n in range(1, 161):
-        assert cyclotomic_poly(n) == cyclotomic_by_definition(n)
+    """The product form equals Phi_n by its literal definition and by
+    recursive exact division."""
+    for n in [*range(1, 400), 2310, 4620]:
+        assert cyclotomic_poly(n) == cyclotomic_by_definition(n) == recursive_cyclotomic(n)
 
 
 def test_cyclotomic_divisor_product():
@@ -112,14 +124,14 @@ def test_cyclotomic_monic_degree_and_constant_term():
         assert f.is_monic()
         assert f.degree == totient(n)
         if n >= 2:
-            assert f(0) == 1
+            assert poly_eval(f, 0) == 1
 
 
 def test_cyclotomic_at_one_detects_prime_powers():
     for n in range(2, 501):
         fac = factorize(n)
         expected = fac[0][0] if len(fac) == 1 else 1
-        assert cyclotomic_poly(n)(1) == expected
+        assert poly_eval(cyclotomic_poly(n), 1) == expected
 
 
 def test_cyclotomic_prime_power_composition():
@@ -131,7 +143,7 @@ def test_cyclotomic_prime_power_composition():
             while m > 1:
                 m //= p
                 k += 1
-            assert cyclotomic_poly(pk) == cyclotomic_poly(p).compose_xpow(p ** (k - 1))
+            assert cyclotomic_poly(pk) == compose_xpow(cyclotomic_poly(p), p ** (k - 1))
             pk *= p
 
 
@@ -139,7 +151,7 @@ def test_cyclotomic_prime_power_composition():
     "f,g,expected",
     [
         (X - 2, X - 3, -1),  # product formula: 2 - 3
-        (X**2 + 1, X, 1),  # g(i) * g(-i) = 1
+        (X2 + 1, X, 1),  # g(i) * g(-i) = 1
     ],
 )
 def test_resultant_examples(f, g, expected):
@@ -148,7 +160,7 @@ def test_resultant_examples(f, g, expected):
 
 
 def test_resultant_with_constant():
-    f = X**3 + 2 * X - 7
+    f = X3 + 2 * X - 7
     assert resultant(f, Poly([5])) == 5**3
     assert resultant(Poly([5]), f) == 5**3
     assert resultant(Poly([4]), Poly([9])) == 1
@@ -177,7 +189,7 @@ def test_resultant_matches_sylvester_on_randoms():
 
 def test_resultant_zero_on_common_factor():
     h = X + 1
-    assert resultant(h * (2 * X + 3), h * (X**2 - 1)) == 0
+    assert resultant(h * (2 * X + 3), h * (X2 - 1)) == 0
 
 
 def test_resultant_multiplicative_in_second_argument():
@@ -192,7 +204,7 @@ def test_resultant_multiplicative_in_second_argument():
     "f,expected",
     [
         (X - 1, 1),
-        (X**2 + 1, -4),  # b^2 - 4c with b=0, c=1
+        (X2 + 1, -4),  # b^2 - 4c with b=0, c=1
     ],
 )
 def test_discriminant_examples(f, expected):
@@ -248,7 +260,7 @@ def test_prem_matches_division_over_q():
         scale = B[-1] ** max(len(A) - len(B) + 1, 0)
         R = _prem(A, B)
         assert all(isinstance(c, int) for c in R) and (not R or R[-1])
-        assert Poly(R) == (Poly(A) * scale) % Poly(B)
+        assert Poly(R) == poly_divmod(Poly(A) * scale, Poly(B))[1]
 
 
 def test_prem_writes_the_pseudo_quotient():
@@ -293,10 +305,10 @@ def test_resultant_cofactor_inverts_modulo_f():
         t, c = resultant_cofactor(f, g)
         assert c and all(isinstance(x, int) for x in t)
         assert len(t) <= f.degree
-        assert not (Poly(t) * g - c) % f
-    assert resultant_cofactor(X**3 + 1, Poly([-4])) == ([1], -4)
+        assert not poly_divmod(Poly(t) * g - c, f)[1]
+    assert resultant_cofactor(X3 + 1, Poly([-4])) == ([1], -4)
     with pytest.raises(InternalInvariantError, match="shares a factor"):
-        resultant_cofactor(X**2 - 1, X**3 - X)
+        resultant_cofactor(X2 - 1, X3 - X)
 
 
 def test_resultant_cofactor_does_not_pay_in_resultant(monkeypatch):
@@ -331,10 +343,34 @@ def test_cofactor_divisions_are_checked(monkeypatch, g):
 
     f = cyclotomic_poly(11)
     t, c = resultant_cofactor(f, Poly(g))
-    assert not (Poly(t) * Poly(g) - c) % f
+    assert not poly_divmod(Poly(t) * Poly(g) - c, f)[1]
     monkeypatch.setattr(polys, "_prem", corrupt)
     with pytest.raises(InternalInvariantError, match="inexact division"):
         resultant_cofactor(f, Poly(g))
+
+
+@pytest.mark.parametrize("fault", ["remainder", "quotient"])
+def test_short_route_division_is_checked(monkeypatch, fault):
+    # t = (c - u * f) / g is the pseudo-quotient of the one _prem call whose
+    # dividend is longer than f; a nonzero remainder, or a quotient entry
+    # not divisible by lc(g)^e = 2^e, must raise instead of returning t
+    f, g = cyclotomic_poly(11), Poly([3, 1, 4, 1, 2])
+    t, c = resultant_cofactor(f, g)
+    assert not poly_divmod(Poly(t) * g - c, f)[1]
+    prem = polys._prem
+
+    def corrupt(A, B, Q=None):
+        R = prem(A, B, Q)
+        if len(A) <= len(f.coeffs):
+            return R
+        if fault == "quotient":
+            Q[0] += 1
+            return R
+        return R + [1]
+
+    monkeypatch.setattr(polys, "_prem", corrupt)
+    with pytest.raises(InternalInvariantError, match="inexact division"):
+        resultant_cofactor(f, g)
 
 
 def test_discr_formula_matches_oracle_small():

@@ -25,8 +25,10 @@ from oracles import (
     conjugate_product_norm,
     divisor_scan_root_of_unity,
     euclid_inverse,
+    fold_divide_reduce,
     mult_matrix_trace,
     orbit_chain_inverse,
+    poly_divmod,
     rand_elt,
     sequential_cofactor_inverse,
 )
@@ -72,8 +74,32 @@ def test_reduce_matches_poly_remainder(n):
     for length in (0, 1, d, n, 2 * d - 1, 3 * n):
         for make in (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))):
             raw = [make() for _ in range(length)]
-            rem = (Poly(raw) % phi).coeffs
+            rem = poly_divmod(Poly(raw), phi)[1].coeffs
             assert CycElt(n, raw).coeffs == rem + (0,) * (d - len(rem))
+
+
+@pytest.mark.parametrize("n", [*range(1, 301), 420, 1155, 2310, 4620, 30030])
+def test_reduce_matches_fold_and_divide(n):
+    """The strided passes give the coordinates, and their int or Fraction
+    types, of the old route: fold modulo X^n - 1, then divide by Phi_n.  The
+    oracle is slow on long p/q vectors past n = 300 (0.9 s at length 1919 at
+    4620), and at 30030 on any long vector (3 s for an int one of length
+    2 phi - 1, 98 s for a p/q one), so those lengths are capped there."""
+    rng = random.Random(n)
+    d = totient(n)
+    longest = (2 * d - 1, d + 37) if n == 30030 else (2 * n + 5, 2 * n + 5 if n <= 300 else 2 * d)
+    lengths = {0, 1, d - 1, d, d + 1, d + 37, n - 1, n, n + 1, 2 * d - 1, 2 * n + 5, rng.randint(0, 2 * n + 5)}
+    for length in sorted(lengths):
+        for frac in (False, True):
+            if length > longest[frac]:
+                continue
+            raw = [rng.randint(-9, 9) for _ in range(length)]
+            if frac:
+                raw = [ring._scalar(Fraction(c, rng.randint(1, 5))) for c in raw]
+            got, want = ring._reduce(n, raw), fold_divide_reduce(n, raw)
+            assert got == want and [type(c) for c in got] == [type(c) for c in want], (n, length, frac)
+            if not frac:
+                assert ring._reduce(n, raw, fractions=False) == want
 
 
 def test_reduce_memory_is_linear_in_n():
@@ -412,7 +438,7 @@ def test_mul_vecs_matches_fraction_schoolbook():
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
                     prod[i + j] += Fraction(x) * Fraction(y)
-            rem = (Poly(prod) % phi).coeffs
+            rem = poly_divmod(Poly(prod), phi)[1].coeffs
             want = rem + (0,) * (phi.degree - len(rem))
             got = ring._mul_vecs(n, a, b)
             assert got == want
@@ -443,7 +469,7 @@ def test_inverse_refuses_large_work_before_any_product(monkeypatch):
         CycElt(99991, [1, 1]),
         CycElt(99991, [1, 2]),
         CycElt(131, [10**400] * 2),
-        CycElt(30030, [0, 1, 2]),  # t / zeta took 94 s to reduce modulo Phi_30030
+        CycElt(30030, [0, 1, 2]),  # 4e8; 1.7 s with the limit lifted (94 s by fold-and-divide)
         CycElt(997, [1, 10**30]),  # 1e5-bit coordinates; the gcds alone took 5.6 s
         CycElt(101, [rng.randint(-(2**385), 2**385) for _ in range(100)]),  # one took 10.5 s
         CycElt(1381, [rng.randint(-9, 9) for _ in range(172)]),  # a block of d/8; one took 16.8 s
@@ -460,11 +486,14 @@ def test_inverse_refuses_large_work_before_any_product(monkeypatch):
 
 def test_inverse_work_estimate_at_the_cap():
     # [1,2] at 1409 on the Phi_n route: words = 1 + 1408 * bits(5) // 128 = 34;
-    # a window starting at 3 adds the reduction of t / zeta^3, (n - d) * w = 1409
+    # a window starting at 3 adds the reduction of t / zeta^3: n places, by
+    # the 2 factors of Phi_1409 = (1 - X^1409) / (1 - X)
     assert ring._output_work(1409, 1408, 0, False, 5, 2) == 34 * 1408 * 34
-    assert ring._output_work(1409, 1408, 3, False, 5, 2) == 34 * (1408 * 34 + 1409)
-    # over the real subfield: a product of d^2 and min(n - d, d) = 1 reductions by Phi_7 (w = 7)
-    assert ring._output_work(7, 6, 0, True, 5, 2) == 1 * (6 * 1 + 36 + 7)
+    assert ring._output_work(1409, 1408, 3, False, 5, 2) == 34 * (1408 * 34 + 2 * 1409)
+    # over the real subfield: a product of d^2 and the reduction of min(n, 2d) = 7 places by 2 factors
+    assert ring._output_work(7, 6, 0, True, 5, 2) == 1 * (6 * 1 + 36 + 2 * 7)
+    # 30030 has 64 factors; its reduction of t / zeta^start costs 64 * n per word
+    assert ring._output_work(30030, 5760, 1, False, 1, 0) == 46 * (5760 * 46 + 64 * 30030)
     for lit in ("1409:[1,2]", "1423:[1,2]", "6006:[1,2]"):
         assert _inverse_work_of(CycElt.parse(lit)) * 50 < ring.MAX_INVERSE_WORK
     assert _inverse_work_of(CycElt(30030, [1, 2])) <= ring.MAX_INVERSE_WORK
@@ -589,6 +618,28 @@ def test_non_roots_of_unity_are_rejected_before_any_power():
         assert time.monotonic() - start < 1, text
 
 
+def test_root_of_unity_refuses_large_work_before_any_product(monkeypatch):
+    rng = random.Random(113)
+    dense = CycElt(2003, [rng.randint(-9, 9) for _ in range(2002)])
+    assert is_root_of_unity(dense) == (False, None)
+    assert is_root_of_unity(-zeta_pow(2003, 5)) == (True, 4006)
+
+    def no_product(*args):
+        raise AssertionError("a ring product ran before the size check")
+
+    big = [
+        CycElt(99991, [rng.randint(-9, 9) for _ in range(99990)]),
+        CycElt(30030, [rng.randint(-9, 9) for _ in range(5760)]),
+        CycElt(1367, [rng.randint(-(2**1100), 2**1100) for _ in range(1366)]),
+    ]
+    monkeypatch.setattr(ring, "_mul_vecs", no_product)
+    for a in big:
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=f"root-of-unity work estimate exceeds {ring.MAX_ROOT_WORK}"):
+            is_root_of_unity(a)
+        assert time.monotonic() - start < 1
+
+
 def _full_degree_norm(a):
     """N(a) as Res(Phi_n, A) / m^phi(n), with a = A/m: the route that
     `norm` takes above MAX_REAL_NORM_PHI, called here through `resultant`."""
@@ -685,7 +736,7 @@ def test_caches_are_thread_safe():
     rng = random.Random(61)
     elts = [rand_elt(rng, n, max_den=3) for n in (7, 9, 12, 15, 16, 20, 21)]
     serial = [(a.inverse(), a.trace(), a.norm()) for a in elts]
-    for cache in (ring._ramanujan_sums, ring._real_cyclotomic, cyclotomic_poly):
+    for cache in (ring._ramanujan_sums, ring._real_cyclotomic, cyclotomic_poly, polys._product_form):
         cache.cache_clear()
     results = [None] * 4
     start = threading.Barrier(len(results), timeout=30)
