@@ -6,9 +6,11 @@ on stdout) and `--quiet` (essential output only).  Exit codes: 0 success,
 irregular prime in the case1 pipeline, a conductor above MAX_CONDUCTOR, a
 bound above MAX_BOUND, a Bernoulli index above MAX_INDEX, a `disc` field
 degree above MAX_DISC_PHI, an `elt inv` whose resultant and output work
-exceed MAX_INVERSE_WORK, or a norm, unit test or unit decomposition whose
-resultant work exceeds MAX_NORM_WORK; both estimates come from the same
-resultant pair and are checked before any resultant or product), 3
+exceed MAX_INVERSE_WORK, a norm, unit test or unit decomposition whose
+resultant work exceeds MAX_NORM_WORK, both estimates from the same resultant
+pair and checked before any resultant or product, or a `factor` whose
+factors and verifying product exceed MAX_FACTOR_WORK, checked before any
+factor is built), 3
 internal invariant violation (a verified postcondition failed; never
 caused by user input).
 

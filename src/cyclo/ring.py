@@ -39,21 +39,22 @@ CycElt.parse('5:[1,0,-1,-1]')
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
-from .ntheory import check_odd_prime, divisors, moebius, totient
+from .ntheory import check_odd_prime, factorize, is_prime, moebius, totient
 from .polys import Poly, _product_form, _scalar, _times_binomials, check_conductor, cyclotomic_poly
 from .polys import format_scalar, parse_scalar
 from .polys import resultant, resultant_cofactor
 
 __all__ = [
+    "MAX_FACTOR_WORK",
     "MAX_INVERSE_WORK",
     "MAX_NORM_WORK",
-    "MAX_ROOT_WORK",
     "CycElt",
     "UnitDecomposition",
     "decompose_unit",
@@ -503,40 +504,33 @@ def zeta_pow(n: int, j: int) -> CycElt:
     return CycElt(n, [0] * (j % check_conductor(n)) + [1])
 
 
-# Largest `d * (nonzero coordinates) * (words of the largest one)` that
-# `is_root_of_unity` accepts: its one product, a * conj(a), runs over the
-# nonzero coordinates of a against the d of conj(a).  On a 2-vCPU Xeon VM with
-# Python 3.11, dense elements (primes 1009-5477, coordinates +-9 to 2^1000)
-# and blocks (at 9973-99991) took 60-170 s per billion of it; just inside the
-# limit the slowest of six shapes, a dense 1000-bit element at 1367, took
-# 3.2 s, and a dense +-9 one at 5477 2.8 s.
-MAX_ROOT_WORK = 30_000_000
-
-
 def is_root_of_unity(a: CycElt):
     """(True, order) for the minimal m with a^m = 1, else (False, None).
 
-    A root of unity is integral with a * conj(a) = 1, and by Kronecker's
-    theorem such an element is one (conjugation commutes with the Galois
-    group, so every conjugate has absolute value 1); anything else is
-    rejected before any power.  Every root of unity in Q(zeta_n) has order
-    dividing 2n, so only the divisors of 2n are scanned.  An integral
-    element above MAX_ROOT_WORK is refused with ValueError before any
-    product.
+    The roots of unity in Q(zeta_n) are the +-zeta^k, all integral.
+    For the least prime l = 1 (mod n) above 2 and an omega of exact order n
+    mod l, zeta -> omega maps Z[zeta_n] to F_l (Phi_n(omega) = 0 mod l) and
+    sends the +-zeta^k to distinct +-omega^k (for even n, -1 = omega^(n/2)).
+    So a(omega), looked up among the n powers of omega, names the only
+    candidate +-zeta^k, and one coordinate comparison decides.  The cost is
+    O(n) plus one pass over the coordinates and one reduction, with no ring
+    product or power, so no size limit is needed.
     """
-    one = CycElt.one(a.n)
+    n = a.n
     if not a.is_integral():
         return False, None
-    nonzero = [c for c in a.coeffs if c]
-    words = 1 + max(map(abs, nonzero), default=0).bit_length() // 64
-    if len(a.coeffs) * len(nonzero) * words > MAX_ROOT_WORK:
-        raise ValueError(f"root-of-unity work estimate exceeds {MAX_ROOT_WORK}")
-    if a * a.conj() != one:
+    ell = next(l for l in itertools.count(n + 1, n) if l > 2 and is_prime(l))
+    primes = [q for q, _ in factorize(n)]
+    roots = (pow(g, (ell - 1) // n, ell) for g in itertools.count(2))
+    omega = next(w for w in roots if all(pow(w, n // q, ell) != 1 for q in primes))
+    powers = list(itertools.accumulate(range(n - 1), lambda w, _: w * omega % ell, initial=1))
+    value = sum(c % ell * w for c, w in zip(a.coeffs, powers)) % ell
+    index = {w: k for k, w in enumerate(powers)}
+    sign = 1 if value in index else -1
+    k = index.get(sign * value % ell)
+    if k is None or a.coeffs != tuple(sign * c for c in zeta_pow(n, k).coeffs):
         return False, None
-    for m in divisors(2 * a.n):
-        if a**m == one:
-            return True, m
-    return False, None
+    return True, 2 * n // math.gcd(2 * n, 2 * k + n * (sign < 0))
 
 
 @dataclass(frozen=True)
@@ -581,11 +575,31 @@ def decompose_unit(u: CycElt) -> UnitDecomposition:
     return UnitDecomposition(x=x, m=m)
 
 
+# Largest work estimate that `factor_sum_pth_powers` (so `cyclo factor`)
+# accepts.  On a 2-vCPU Xeon VM with Python 3.11, `cyclo factor p x x` with
+# x = 0 or x of 1 to 14284 bits (the CLI's 4300 digits) and p from 23 to 1847
+# took 8-34 s per billion of it.  Just inside the limit the slowest, p = 83
+# with 2048-bit x, took 5.7 s, and x = 1 at p = 1213 took 3.0 s.  Refused
+# now: `factor 1601 1 1` (4.8 s and 46 MB without the limit), `factor 53 x x`
+# with 4000-digit x (27 s) and `factor 99991 1 1` (tens of GB).
+MAX_FACTOR_WORK = 200_000_000
+
+
 def factor_sum_pth_powers(x: int, y: int, p: int) -> list[CycElt]:
     """The p factors (x + zeta^i * y), i = 0..p-1, whose product is the
     scalar x^p + y^p in Q(zeta_p).  Each factor is one reduction of the
-    coordinates of x + y * X^i, written into a single list."""
+    coordinates of x + y * X^i, written into a single list.
+
+    Refused with ValueError before any factor is built when the estimate
+    exceeds MAX_FACTOR_WORK.  It counts the p * (p - 1) coordinates: building
+    and printing one costs about 96 word operations, and folding the factors
+    back to x^p + y^p multiplies it once by a coordinate of the running
+    product, of up to p * bits bits for x and y of at most bits bits.  Under
+    Karatsuba a product of W by w words costs about W * sqrt(w)."""
     check_odd_prime(check_conductor(p))
+    bits = max(abs(c.numerator).bit_length() + c.denominator.bit_length() - 1 for c in (x, y))
+    if p * (p - 1) * (96 + (1 + p * bits // 64) * math.isqrt(4 + bits // 16)) > MAX_FACTOR_WORK:
+        raise ValueError(f"factor work estimate exceeds {MAX_FACTOR_WORK}")
     raw = [x] + [0] * (p - 1)
     factors = []
     for i in range(p):

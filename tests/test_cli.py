@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -30,6 +32,13 @@ GOLDEN_CASES = [
     (["elt", "inv", "7:[1,2,0,3,0,-1]"], "elt_inv_7.txt"),
     (["elt", "inv", "9:[1/2,3,-2/3,0,0,1]"], "elt_inv_9_frac.txt"),
     (["elt", "inv", "12:[2,1/3,0,-1]", "--json"], "elt_inv_12_json.txt"),
+    (["elt", "add", "7:[1,2/3]", "7:[0,-1,0,5]"], "elt_add_7.txt"),
+    (["elt", "mul", "12:[1,2,0,-1]", "12:[0,1/2,3]"], "elt_mul_12.txt"),
+    (["elt", "conj", "7:[1,2,0,3]"], "elt_conj_7.txt"),
+    (["elt", "trace", "9:[1,2/3,0,0,0,1]"], "elt_trace_9.txt"),
+    (["elt", "is-real", "5:[0,1,0,0,1]"], "elt_is_real_5.txt"),
+    (["elt", "is-unit", "7:[1,1,1]", "--json"], "elt_is_unit_7_json.txt"),
+    (["case1", "5", "--bound", "20", "--no-filter"], "case1_5_b20_nofilter.txt"),
 ]
 
 
@@ -157,6 +166,8 @@ def test_usage_errors_exit_1(capsys, argv):
         (["elt", "is-unit", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
         (["unit-decompose", "40009", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
         (["elt", "norm", "1009:[" + ",".join(["3", "-7"] * 504) + "]"], "norm work estimate exceeds"),
+        (["factor", "99991", "1", "1"], "factor work estimate exceeds 200000000"),
+        (["factor", "101", "9" * 4000, "1"], "factor work estimate exceeds 200000000"),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv, fragment):
@@ -183,6 +194,8 @@ def test_oversized_inputs_are_refused_before_work(capsys):
         # the first pseudo-remainder of Phi_99991 by 1 + 2X holds 1.25 GB
         ["elt", "norm", "99991:[1,2]"],
         ["unit-decompose", "99991", "99991:[1,2]"],
+        # 99991 factors of 99990 coordinates each
+        ["factor", "99991", "1", "1"],
     ]
     start = time.monotonic()
     assert [run(argv) for argv in argvs] == [2] * len(argvs)
@@ -218,6 +231,47 @@ def test_commands_at_the_inverse_cap_end_within_budget(capsys, argv):
     assert time.monotonic() - start < 10
     n = argv[2].split(":")[0]
     assert capsys.readouterr().out.startswith((f"{n}:[", f"x={n}:["))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # just inside ring.MAX_FACTOR_WORK: the slowest measured shape
+        # (5.7 s), and the largest p with x = y = 1 (3.0 s)
+        ["factor", "83", str(2**2048 - 1), str(2**2048 - 1), "--quiet"],
+        ["factor", "1213", "1", "1", "--quiet"],
+    ],
+)
+def test_factor_at_the_work_cap_ends_within_budget(capsys, argv):
+    start = time.monotonic()
+    assert run(argv) == 0
+    assert time.monotonic() - start < 10
+    out = capsys.readouterr().out
+    assert out.startswith("product=") and out.endswith(" ok\n")
+
+
+def test_norm_at_the_norm_cap_ends_within_budget(capsys):
+    # just inside ring.MAX_NORM_WORK (0.93 of it): a block of d/8 small
+    # coordinates at 1381, the slowest shape when the limit was set (6.9 s;
+    # the block in +-5 sits at 0.99 of it and took 5.3 s)
+    start = time.monotonic()
+    assert run(["elt", "norm", _seeded_literal(1381, 172, 7), "--quiet"]) == 0
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().out.strip().lstrip("-").isdigit()
+
+
+def test_bernoulli_at_the_index_cap_ends_within_budget():
+    # a fresh interpreter, so that the Bernoulli table is built from B_0
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "cyclo.cli", "bernoulli", "3500", "--quiet"], env=env, capture_output=True, text=True
+    )
+    assert time.monotonic() - start < 10
+    assert done.returncode == 0 and done.stderr == ""
+    numerator, _, denominator = done.stdout.strip().partition("/")
+    assert numerator.lstrip("-").isdigit() and denominator.isdigit()
 
 
 @pytest.mark.parametrize(

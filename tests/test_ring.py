@@ -618,26 +618,41 @@ def test_non_roots_of_unity_are_rejected_before_any_power():
         assert time.monotonic() - start < 1, text
 
 
-def test_root_of_unity_refuses_large_work_before_any_product(monkeypatch):
+@pytest.mark.parametrize("n", [105, 120, 210])
+def test_every_root_of_unity_matches_divisor_scan(n):
+    for k in range(n):
+        for a in (zeta_pow(n, k), -zeta_pow(n, k)):
+            assert is_root_of_unity(a) == divisor_scan_root_of_unity(a), (n, k)
+
+
+def test_root_of_unity_takes_no_ring_product_or_power(monkeypatch):
     rng = random.Random(113)
     dense = CycElt(2003, [rng.randint(-9, 9) for _ in range(2002)])
-    assert is_root_of_unity(dense) == (False, None)
-    assert is_root_of_unity(-zeta_pow(2003, 5)) == (True, 4006)
-
-    def no_product(*args):
-        raise AssertionError("a ring product ran before the size check")
-
-    big = [
+    # the divisor scan took 21 s at 3003 and 58 s at 5005, and gave these orders
+    roots = [
+        (zeta_pow(3003, 1440), 1001),
+        (zeta_pow(5005, 2880), 1001),
+        (zeta_pow(90090, 17280), 1001),
+        (-zeta_pow(99991, 5), 199982),
+        (-zeta_pow(2003, 5), 4006),
+    ]
+    # dense elements up to the conductor cap, and one with 1100-bit coordinates
+    others = [
+        dense,
         CycElt(99991, [rng.randint(-9, 9) for _ in range(99990)]),
         CycElt(30030, [rng.randint(-9, 9) for _ in range(5760)]),
         CycElt(1367, [rng.randint(-(2**1100), 2**1100) for _ in range(1366)]),
     ]
+
+    def no_product(*args):
+        raise AssertionError("is_root_of_unity formed a ring product or power")
+
     monkeypatch.setattr(ring, "_mul_vecs", no_product)
-    for a in big:
+    monkeypatch.setattr(CycElt, "__pow__", no_product)
+    for a, expected in [(a, (True, order)) for a, order in roots] + [(a, (False, None)) for a in others]:
         start = time.monotonic()
-        with pytest.raises(ValueError, match=f"root-of-unity work estimate exceeds {ring.MAX_ROOT_WORK}"):
-            is_root_of_unity(a)
-        assert time.monotonic() - start < 1
+        assert is_root_of_unity(a) == expected, a.n
+        assert time.monotonic() - start < 1, a.n
 
 
 def _full_degree_norm(a):
@@ -878,6 +893,21 @@ def test_factor_rejects_even_or_composite():
         factor_sum_pth_powers(1, 1, 2)
     with pytest.raises(ValueError):
         factor_sum_pth_powers(1, 1, 9)
+
+
+def test_factor_refuses_large_work_before_any_factor(monkeypatch):
+    def no_reduce(*args, **kwargs):
+        raise AssertionError("a factor was built before the work check")
+
+    monkeypatch.setattr(ring, "_reduce", no_reduce)
+    x = 10**4000 - 1
+    # 99991 factors of 99990 coordinates each; 53 and 101 with 4000-digit
+    # x took 27 s and over 60 s; 1217 is the least prime refused at x = y = 1
+    for args in [(1, 1, 99991), (1, 1, 1217), (x, x, 53), (x, 1, 101)]:
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=f"factor work estimate exceeds {ring.MAX_FACTOR_WORK}"):
+            factor_sum_pth_powers(*args)
+        assert time.monotonic() - start < 1, args
 
 
 def test_factor_checks_conductor_before_primality():
