@@ -7,10 +7,11 @@ irregular prime in the case1 pipeline, a conductor above MAX_CONDUCTOR, a
 bound above MAX_BOUND, a Bernoulli index above MAX_INDEX, a `disc` field
 degree above MAX_DISC_PHI, an `elt inv` whose resultant and output work
 exceed MAX_INVERSE_WORK, a norm, unit test or unit decomposition whose
-resultant work exceeds MAX_NORM_WORK, both estimates from the same resultant
-pair and checked before any resultant or product, or a `factor` whose
-factors and verifying product exceed MAX_FACTOR_WORK, checked before any
-factor is built), 3
+estimate for the route it takes (evaluation or resultant) exceeds
+MAX_NORM_WORK, both checked before any resultant, evaluation or product, an
+`elt mul` whose product exceeds MAX_MUL_WORK, or a `factor` whose factors
+and verifying product exceed MAX_FACTOR_WORK, each checked before the work
+it bounds), 3
 internal invariant violation (a verified postcondition failed; never
 caused by user input).
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache, reduce
 
@@ -39,6 +41,29 @@ __all__ = ["main", "run", "to_json"]
 # p^k = 7^4 (phi 2058), took 1.6 s and 3^7 (phi 1458) 1.6 s; 5^5 (phi 2500)
 # took 5.8 s and 7^5 (phi 14406) did not finish within 60 s.
 MAX_DISC_PHI = 2400
+
+# Largest `_mul_work` that `elt mul` accepts.  On a 2-vCPU Xeon VM with
+# Python 3.11, in-process products of two literals took 4.4-9.1 s per billion
+# of it: the most for 3000 coordinates of 100 bits at 99991, the least for
+# 100-300 coordinates of 6400-14000 bits.  Just inside the limit (0.98 of
+# it) two 4950-coordinate literals of 101 bits at 99991 took 4.3-5.0 s; two
+# dense 10000-coordinate literals of +-9 (12.1 s) are refused.
+MAX_MUL_WORK = 600_000_000
+
+
+def _mul_work(a, b):
+    """An estimate of the cost of a * b: (nonzero coordinates of a) * (those
+    of b) products of coordinates, each a fixed cost plus the product of the
+    words of the two operands' largest coordinates once denominators are
+    cleared."""
+
+    def terms_and_words(x):
+        m = math.lcm(*(c.denominator for c in x.coeffs))
+        bits = max(abs(c.numerator).bit_length() for c in x.coeffs) + m.bit_length()
+        return sum(map(bool, x.coeffs)), 1 + bits // 64
+
+    (ta, wa), (tb, wb) = terms_and_words(a), terms_and_words(b)
+    return ta * tb * (20 + wa * wb)
 
 
 def to_json(envelope: dict) -> str:
@@ -134,6 +159,8 @@ def _cmd_elt(args):
     if op == "add":
         value = a + b
     elif op == "mul":
+        if _mul_work(a, b) > MAX_MUL_WORK:
+            raise ValueError(f"mul work estimate exceeds {MAX_MUL_WORK}")
         value = a * b
     elif op == "inv":
         value = a.inverse()

@@ -15,19 +15,24 @@ other n the predicate means membership in Z[zeta_n], nothing more).
 
 Nothing divides polynomials over Q, and products clear denominators
 first, so the product loop multiplies ints only.  The trace reads a table
-of Ramanujan sums.  The norm and the inverse share one resultant pair.
-Up to phi(n) = MAX_REAL_NORM_PHI it lives in the real subfield
-Q(zeta_n)+ = Q(zeta + 1/zeta) of index 2: N(a) is the norm of the real
-element a * conj(a), read off the autocorrelation of the coordinates
-without a ring product, as a resultant with the minimal polynomial Psi_n
-of zeta + 1/zeta, of half the degree of Phi_n; above it, where Psi_n's
-coefficients grow large, the pair is Phi_n and a.  The inverse tracks a
-cofactor along the same subresultant sequence, which ends in an integer
+of Ramanujan sums.  The norm takes whichever of two routes a cost model,
+fitted to timings of both, says is cheaper (`_norm_route`).  Each reads the
+real element A * conj(A) = c_0 + sum c_k (zeta^k + zeta^-k) off the
+autocorrelation c of the coordinates, with no ring product.  Evaluation
+(dense elements): N(A) is the product of its values at the real conjugates
+of a Hensel-lifted root of unity modulo a prime power above the Parseval
+bound on N(A).  Resultant (sparse windows, large coordinates): the
+resultant of the theta-form of c with the minimal polynomial Psi_n of
+theta = zeta + 1/zeta, of half the degree of Phi_n, in the real subfield
+Q(zeta_n)+ of index 2; above phi(n) = MAX_REAL_NORM_PHI, where Psi_n's
+coefficients grow large, Res(Phi_n, A) instead.  The inverse tracks a
+cofactor along that subresultant sequence, which ends in an integer
 c = t * g modulo f: a^-1 = conj(a) * t(zeta + 1/zeta) / c, or t / c.
 
 Everything is immutable and every operation is a pure function; the only
-shared state is the per-conductor Ramanujan-sum and Psi_n tables here and
-the Phi_n and product-form caches in `polys`, all idempotent caches.
+shared state is the per-conductor Ramanujan-sum and Psi_n tables, primes
+l = 1 (mod n) and lifted roots of unity, and the last few exponent tables
+here, and the Phi_n and product-form caches in `polys`, all idempotent.
 
 >>> z = CycElt.zeta(5)
 >>> (1 + z) * (1 + z**4)
@@ -166,15 +171,17 @@ def _real_cyclotomic(n):
 MAX_REAL_NORM_PHI = 1000
 
 
-# Largest `_norm_work` that `norm` (so also `is_unit`, `decompose_unit` and
-# the `elt norm`, `elt is-unit` and `unit-decompose` commands) accepts.  On a
-# 2-vCPU Xeon VM with Python 3.11, norms of dense elements (primes 151-1009,
-# coordinates up to 10^6) took 3-5 s per billion of the estimate, elements
-# whose coordinates fill a block of d/4 to d/64 places 7-15 s per billion,
-# and products of 3 or 10 cyclotomic units under 0.2 s per billion, since
-# the estimate bounds the size of their norm by the worst case.  Just inside
-# the limit the slowest of twelve element shapes, a block of d/8 small
-# coordinates at p = 1381, took 7.2 s; a dense element at p = 643 took 2.1 s.
+# Largest estimate, `_evaluation_work` or `_norm_work` for the route that
+# `norm` takes, that `norm` (so also `is_unit`, `decompose_unit` and the
+# `elt norm`, `elt is-unit` and `unit-decompose` commands) accepts.  On a
+# 2-vCPU Xeon VM with Python 3.11, the evaluation took 3.4-4.4 s per billion
+# of its estimate (dense elements with +-9 to 385-bit coordinates, blocks of
+# d/4 to d/32, products of ten cyclotomic units), and the resultant, on the
+# shapes it still takes, 0.4-7.1 s per billion: sparse pairs at 24251 the
+# least, blocks of d/40 to d/64 at 2100-3600 the most.  Just inside the
+# limit the slowest, a block of d/48 at 3049 on the resultant, took 3.3 s;
+# a dense element at 1747 took 1.9 s.  The limit stays where the resultant
+# alone put it, since `unit-decompose` takes two norms of about this size.
 MAX_NORM_WORK = 600_000_000
 
 
@@ -226,33 +233,154 @@ def _output_work(n, d, start, real, squares, lag1):
     return words * (d * words + clear)
 
 
-def _resultant_pair(n, ints, inverse=False):
-    """(real, f, g, start) with f monic and Res(f, g) = N(A) for the integer
-    coordinates ints (not all zero) of A, from the window of A between its
-    first (start) and last nonzero ones (zeta^j has norm 1 for n >= 3).  Up
-    to MAX_REAL_NORM_PHI (real): A * conj(A) = c_0 + sum c_k (zeta^k +
-    zeta^-k), c_k the autocorrelation sums (k > n/2 folded onto n - k), so
-    f = Psi_n and g the theta-form of c; above it f = Phi_n, g the window.
-    Refused before anything is built when `_norm_work` exceeds MAX_NORM_WORK,
-    or with inverse, when it plus `_output_work` exceeds MAX_INVERSE_WORK."""
-    d = len(ints)
+def _window(ints):
+    """(start, a, squares, lag1) for integer coordinates ints, not all zero:
+    a is the window of ints between its first (start) and last nonzero ones
+    (zeta^j has norm 1 for n >= 3), squares = sum a_i^2 and lag1 = sum
+    a_i * a_(i+1)."""
     nonzero = list(map(bool, ints))
     start = nonzero.index(True)
-    a = ints[start : d - nonzero[::-1].index(True)]
-    real = n > 2 and d <= MAX_REAL_NORM_PHI
-    squares, lag1 = sum(map(operator.mul, a, a)), sum(map(operator.mul, a, a[1:]))
-    work, limit = _norm_work(n, d, a, real, squares, lag1), MAX_NORM_WORK
-    if inverse:
-        work, limit = work + _output_work(n, d, start, real, squares, lag1), MAX_INVERSE_WORK
-    if work > limit:
-        raise ValueError(f"{'inverse' if inverse else 'norm'} work estimate exceeds {limit}")
-    if not real:
-        return real, cyclotomic_poly(n), Poly(a), start
+    a = ints[start : len(ints) - nonzero[::-1].index(True)]
+    return start, a, sum(map(operator.mul, a, a)), sum(map(operator.mul, a, a[1:]))
+
+
+def _autocorrelation(n, a, squares, lag1):
+    """c with A * conj(A) = c_0 + sum c_k (zeta^k + zeta^-k) for the window a
+    of A: c_k the autocorrelation sums, k > n/2 folded onto n - k."""
     half = n // 2
     c = [squares, lag1][: len(a)] + [0] * (min(len(a), half + 1) - 2)
     for k in range(2, len(a)):
         c[k if k <= half else n - k] += sum(map(operator.mul, a, a[k:]))
-    return real, _real_cyclotomic(n), Poly(_theta_form(c)), start
+    return c
+
+
+def _resultant_pair(n, a, real, squares, lag1):
+    """(f, g) with f monic and Res(f, g) = N(A) for the window a of the
+    integer coordinates of A.  Over the real subfield (real, n > 2):
+    A * conj(A) is the real element of `_autocorrelation`, so f = Psi_n and
+    g is its theta-form; otherwise f = Phi_n and g the window."""
+    if not real:
+        return cyclotomic_poly(n), Poly(a)
+    return _real_cyclotomic(n), Poly(_theta_form(_autocorrelation(n, a, squares, lag1)))
+
+
+@functools.cache
+def _prime_root(n):
+    """(l, omega): the least prime l = 1 (mod n) above 2, and omega of exact
+    order n modulo l, omega = g^((l-1)/n) for the least g = 2, 3, ... with
+    omega^(n/q) != 1 for every prime q | n.  Cached per process (a
+    thread-safe idempotent memo)."""
+    ell = next(l for l in itertools.count(n + 1, n) if l > 2 and is_prime(l))
+    primes = [q for q, _ in factorize(n)]
+    roots = (pow(g, (ell - 1) // n, ell) for g in itertools.count(2))
+    return ell, next(w for w in roots if all(pow(w, n // q, ell) != 1 for q in primes))
+
+
+# n -> (k, W, V): W = omega (mod l) with W^n = 1 (mod l^k), V = W^(n-1), at
+# the highest precision k lifted so far.  An entry is replaced whole, so a
+# thread reads an older or a newer one, and both are valid.
+_LIFTED_ROOTS = {}
+
+
+def _lifted_root(n, e):
+    """(W, W^-1) modulo l^k for some k >= e: the Newton (Hensel) lift of omega
+    of `_prime_root` on X^n - 1, whose derivative n X^(n-1) = n / W is a
+    unit mod l (l does not divide n).  Each step doubles the precision,
+    from the highest one lifted so far for this n."""
+    ell, omega = _prime_root(n)
+    k, w, v = _LIFTED_ROOTS.get(n, (1, omega, pow(omega, n - 1, ell)))
+    if k < e:
+        steps = [e]
+        while steps[-1] > 2 * k:
+            steps.append((steps[-1] + 1) // 2)
+        for k in reversed(steps):
+            mod = ell**k
+            w = (w - (pow(w, n, mod) - 1) * w * pow(n, -1, mod)) % mod
+        v = pow(w, n - 1, mod)
+        _LIFTED_ROOTS[n] = (k, w, v)
+    return w, v
+
+
+def _conjugate_rows(n, lags):
+    """The rows m * k mod n, m = 1..lags, for k in 1..n/2 prime to n (one k
+    of each pair +-k of (Z/n)^*), one row at a time."""
+    return ([m * k % n for m in range(1, lags + 1)] for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _kept_conjugate_rows(n, lags):
+    """`_conjugate_rows` as a list, kept for the last four (n, lags)."""
+    return list(_conjugate_rows(n, lags))
+
+
+# Largest phi(n) * lags for which `_evaluated_norm` keeps its exponent table,
+# of phi(n) * lags / 2 entries; larger ones are built a row at a time.
+MAX_KEPT_ROWS = 1 << 14
+
+
+def _evaluated_norm(n, d, a, squares, lag1):
+    """N(A) for n >= 3 and d = phi(n), from the window a of A (`_window`).
+
+    By Parseval over the n-th roots of unity and AM-GM, 0 < N(A) <=
+    (n s / d)^(d/2) for s = |A|_2^2 and for s = |A * (1 - zeta)|_2^2
+    (N(1 - zeta) >= 1), so N(A) is its residue modulo M = l^e, e the least
+    with l^e above the smaller bound.  With Phi_n(W) = 0 (mod M), checked,
+    N(A) = prod B(W^k) (mod M) over k in (Z/n)^* modulo +-1, B(W^k) =
+    c_0 + sum c_m (W^mk + W^-mk) the value of A * conj(A), c the
+    `_autocorrelation`: n/2 products for the sums W^j + W^-j, then len(c)
+    products of a small number by one below M per value."""
+    ell, _ = _prime_root(n)
+    bound = (n * min(squares, 2 * (squares - lag1))) ** d // d**d  # N(A)^2 <= bound
+    e = bound.bit_length() // (2 * ell.bit_length() - 2) + 1
+    ell2, mod2 = ell * ell, ell ** (2 * e)
+    while mod2 // ell2 > bound:
+        mod2 //= ell2
+        e -= 1
+    mod = ell**e
+    w, v = _lifted_root(n, e)
+    s1 = (w + v) % mod
+    sums = [2, s1]  # W^j + W^-j by s_(j+1) = s_1 * s_j - s_(j-1)
+    for _ in range(n // 2 - 1):
+        sums.append((s1 * sums[-1] - sums[-2]) % mod)
+    # Phi_n is palindromic: Phi_n(W) / W^(d/2) = phi_(d/2) + sum phi_(d/2+j) * s_j
+    phi = cyclotomic_poly(n).coeffs
+    if (w * v - 1) % mod or (phi[d // 2] + sum(map(operator.mul, phi[d // 2 + 1 :], sums[1:]))) % mod:
+        raise InternalInvariantError("the lifted root of unity is not a root of Phi_n modulo l^e")
+    sums += sums[n - n // 2 - 1 : 0 : -1]  # s_(n-j) = s_j
+    c = _autocorrelation(n, a, squares, lag1)
+    c0, lags, norm = c[0], c[1:], 1
+    rows = _kept_conjugate_rows if d * len(lags) <= MAX_KEPT_ROWS else _conjugate_rows
+    for row in rows(n, len(lags)):
+        norm = norm * (c0 + sum(map(operator.mul, lags, map(sums.__getitem__, row)))) % mod
+    return norm
+
+
+def _evaluation_work(n, d, lags, s):
+    """An estimate of the cost of `_evaluated_norm` for an autocorrelation of
+    lags + 1 entries and its s, in the units of `_norm_work` (about 4 ns,
+    its rate on dense norms): w the words of M ((d/2) log2(n s / d), to an
+    eighth of a bit) and cw those of s; (n + d)/2 products and remainders of
+    w words, and lags products of cw by w words per value.  The weights were
+    fitted to timings of both routes."""
+    w = 1 + d * ((n * s) ** 8 // d**8).bit_length() // 1024
+    cw = 1 + s.bit_length() // 64
+    return (n + d) * (59 + 6 * w * w // 5) + d * lags * (35 + w * cw) + 370
+
+
+def _norm_route(n, d, a, squares, lag1):
+    """(evaluate, work): whether `norm` takes `_evaluated_norm` (n >= 3)
+    over the resultant, and the estimate of the route it takes.  The
+    comparison adds what `_norm_work`, a count of word operations, leaves
+    out: about 100 units per coefficient step of the resultant, 2000 a call."""
+    real = n > 2 and d <= MAX_REAL_NORM_PHI
+    work = _norm_work(n, d, a, real, squares, lag1)
+    if n > 2:
+        lags = min(len(a), n // 2 + 1) - 1
+        evaluation = _evaluation_work(n, d, lags, min(squares, 2 * (squares - lag1)))
+        steps = d * lags // 2 if real else d * (len(a) - 1)
+        if evaluation < work + 100 * steps + 2000:
+            return True, evaluation
+    return False, work
 
 
 def _zeta_form(t):
@@ -428,21 +556,30 @@ class CycElt:
     def norm(self):
         """Field norm down to Q: the product of all Galois conjugates.
 
-        With self = A/m for integral A, N(self) = N(A) / m^phi(n), and N(A)
-        is the resultant of the pair that `_resultant_pair` builds: of half
-        the degree over the real subfield up to MAX_REAL_NORM_PHI, else
-        Res(Phi_n, A).  An element whose `_norm_work` exceeds MAX_NORM_WORK
-        is refused before any resultant.
+        With self = A/m for integral A, N(self) = N(A) / m^phi(n).  N(A)
+        takes the route `_norm_route` estimates cheaper: the values of
+        A * conj(A) at a root of Phi_n modulo a prime power
+        (`_evaluated_norm`), or the resultant of `_resultant_pair`.  An
+        element whose estimate for that route exceeds MAX_NORM_WORK is
+        refused before either runs.
 
         >>> CycElt.parse('7:[1,2]').norm() == 43
         True
         """
         if not self:
             return 0
+        n = self.n
         m, ints = _cleared(self.coeffs)
-        _, f, g, _ = _resultant_pair(self.n, ints)
-        r = resultant(f, g)
-        return r if m == 1 else _scalar(Fraction(r, m ** len(ints)))
+        d = len(ints)
+        _, a, squares, lag1 = _window(ints)
+        evaluate, work = _norm_route(n, d, a, squares, lag1)
+        if work > MAX_NORM_WORK:
+            raise ValueError(f"norm work estimate exceeds {MAX_NORM_WORK}")
+        if evaluate:
+            r = _evaluated_norm(n, d, a, squares, lag1)
+        else:
+            r = resultant(*_resultant_pair(n, a, n > 2 and d <= MAX_REAL_NORM_PHI, squares, lag1))
+        return r if m == 1 else _scalar(Fraction(r, m**d))
 
     def trace(self):
         """Field trace down to Q: the sum of all Galois conjugates, taken
@@ -456,7 +593,7 @@ class CycElt:
         g(theta) = A * conj(A), so self^-1 = m * conj(A) * t(zeta + 1/zeta) / c;
         over Phi_n, g = A / zeta^start and self^-1 = m * t / (zeta^start * c).
         The one division, by c, comes last.  Refused before any resultant or
-        product above MAX_INVERSE_WORK (see `_resultant_pair`).
+        product when `_norm_work` plus `_output_work` exceeds MAX_INVERSE_WORK.
 
         >>> a = CycElt.parse('7:[1,2]')
         >>> a * a.inverse() == 1
@@ -466,8 +603,13 @@ class CycElt:
             raise ZeroDivisionError("division by zero")
         n = self.n
         m, ints = _cleared(self.coeffs)
-        real, f, g, start = _resultant_pair(n, ints, inverse=True)
-        t, c = resultant_cofactor(f, g)
+        d = len(ints)
+        start, a, squares, lag1 = _window(ints)
+        real = n > 2 and d <= MAX_REAL_NORM_PHI
+        work = _norm_work(n, d, a, real, squares, lag1) + _output_work(n, d, start, real, squares, lag1)
+        if work > MAX_INVERSE_WORK:
+            raise ValueError(f"inverse work estimate exceeds {MAX_INVERSE_WORK}")
+        t, c = resultant_cofactor(*_resultant_pair(n, a, real, squares, lag1))
         if real:
             # conj(A) / zeta^D, small integers: A_i sits at -i - D mod n
             bar = _reduce(n, [0] * ((2 - len(t) - len(ints)) % n) + [*reversed(ints)], fractions=False)
@@ -519,10 +661,7 @@ def is_root_of_unity(a: CycElt):
     n = a.n
     if not a.is_integral():
         return False, None
-    ell = next(l for l in itertools.count(n + 1, n) if l > 2 and is_prime(l))
-    primes = [q for q, _ in factorize(n)]
-    roots = (pow(g, (ell - 1) // n, ell) for g in itertools.count(2))
-    omega = next(w for w in roots if all(pow(w, n // q, ell) != 1 for q in primes))
+    ell, omega = _prime_root(n)
     powers = list(itertools.accumulate(range(n - 1), lambda w, _: w * omega % ell, initial=1))
     value = sum(c % ell * w for c, w in zip(a.coeffs, powers)) % ell
     index = {w: k for k, w in enumerate(powers)}

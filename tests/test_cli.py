@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import cyclo.cli as cli
+from cyclo import ring
 from cyclo.cli import run, to_json
 from cyclo.errors import InternalInvariantError
+from cyclo.ring import CycElt
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -165,9 +167,13 @@ def test_usage_errors_exit_1(capsys, argv):
         (["elt", "norm", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
         (["elt", "is-unit", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
         (["unit-decompose", "40009", "40009:[1,2]"], "norm work estimate exceeds 600000000"),
-        (["elt", "norm", "1009:[" + ",".join(["3", "-7"] * 504) + "]"], "norm work estimate exceeds"),
+        # dense at 2003: 1.4 times the limit on the evaluation route (the
+        # same literal at 1009, refused on the resultant route, is now served)
+        (["elt", "norm", "2003:[" + ",".join(["3", "-7"] * 1001) + "]"], "norm work estimate exceeds"),
         (["factor", "99991", "1", "1"], "factor work estimate exceeds 200000000"),
         (["factor", "101", "9" * 4000, "1"], "factor work estimate exceeds 200000000"),
+        (["elt", "mul", "99991:[" + ",".join(["9"] * 9000) + "]", "99991:[" + "-8," * 9000 + "1]"],
+         "mul work estimate exceeds 600000000"),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv, fragment):
@@ -175,6 +181,11 @@ def test_domain_errors_exit_2(capsys, argv, fragment):
     out = capsys.readouterr()
     assert out.out == ""
     assert fragment in out.err
+
+
+def _seeded_literal(n, count, bound):
+    rng = random.Random(7)
+    return f"{n}:[" + ",".join(str(rng.randint(-bound, bound)) for _ in range(count)) + "]"
 
 
 def test_oversized_inputs_are_refused_before_work(capsys):
@@ -196,16 +207,13 @@ def test_oversized_inputs_are_refused_before_work(capsys):
         ["unit-decompose", "99991", "99991:[1,2]"],
         # 99991 factors of 99990 coordinates each
         ["factor", "99991", "1", "1"],
+        # two dense 10000-coordinate literals: 12.1 s of products
+        ["elt", "mul", _seeded_literal(99991, 10000, 9), _seeded_literal(99991, 10000, 9)],
     ]
     start = time.monotonic()
     assert [run(argv) for argv in argvs] == [2] * len(argvs)
     assert time.monotonic() - start < 5
     capsys.readouterr()
-
-
-def _seeded_literal(n, count, bound):
-    rng = random.Random(7)
-    return f"{n}:[" + ",".join(str(rng.randint(-bound, bound)) for _ in range(count)) + "]"
 
 
 @pytest.mark.parametrize(
@@ -251,13 +259,66 @@ def test_factor_at_the_work_cap_ends_within_budget(capsys, argv):
 
 
 def test_norm_at_the_norm_cap_ends_within_budget(capsys):
-    # just inside ring.MAX_NORM_WORK (0.93 of it): a block of d/8 small
-    # coordinates at 1381, the slowest shape when the limit was set (6.9 s;
-    # the block in +-5 sits at 0.99 of it and took 5.3 s)
+    # a block of d/8 small coordinates at 1381, the slowest shape when the
+    # resultant was the only route (0.93 of ring.MAX_NORM_WORK, 6.9 s); it
+    # now takes the evaluation, at 0.15 of the limit (0.5 s)
     start = time.monotonic()
     assert run(["elt", "norm", _seeded_literal(1381, 172, 7), "--quiet"]) == 0
     assert time.monotonic() - start < 10
     assert capsys.readouterr().out.strip().lstrip("-").isdigit()
+
+
+def _unit_literal(p, factors, seed):
+    """A product of cyclotomic units 1 + zeta + ... + zeta^(j-1) of Z[zeta_p]."""
+    rng = random.Random(seed)
+    u = CycElt.one(p)
+    for _ in range(factors):
+        u = u * CycElt(p, [1] * rng.randint(2, p - 1))
+    return str(u)
+
+
+def _norm_route(text):
+    """(evaluate, work / MAX_NORM_WORK) for the route that `norm` takes."""
+    _, ints = ring._cleared(CycElt.parse(text).coeffs)
+    _, window, squares, lag1 = ring._window(ints)
+    evaluate, work = ring._norm_route(int(text.split(":")[0]), len(ints), window, squares, lag1)
+    return evaluate, work / ring.MAX_NORM_WORK
+
+
+@pytest.mark.parametrize(
+    "argv, evaluate, share",
+    [
+        # just inside ring.MAX_NORM_WORK on each route: a block of d/52 at
+        # 3169, which keeps the resultant (3.1-3.3 s), and a dense element at
+        # 1759 (2.4 s)
+        (["elt", "norm", _seeded_literal(3169, 60, 9)], False, 0.96),
+        (["elt", "is-unit", _seeded_literal(1759, 1758, 9)], True, 0.98),
+        # refused on the resultant route; 0.5 s by evaluation
+        (["elt", "norm", "1009:[" + ",".join(["3", "-7"] * 504) + "]"], True, 0.18),
+        # a product of ten cyclotomic units, at 0.91 of the limit; the
+        # decomposition takes two norms (4.0 s)
+        (["unit-decompose", "587", _unit_literal(587, 10, 587)], True, 0.90),
+    ],
+)
+def test_norm_routes_at_the_norm_cap_end_within_budget(capsys, argv, evaluate, share):
+    got_evaluate, got_share = _norm_route(argv[-1])
+    assert got_evaluate == evaluate and share <= got_share <= 1
+    start = time.monotonic()
+    assert run(argv + ["--quiet"]) == 0
+    assert time.monotonic() - start < 10
+    out = capsys.readouterr().out
+    assert out.startswith("x=587:[") if argv[0] == "unit-decompose" else out.strip().lstrip("-").isalnum()
+
+
+def test_mul_at_the_work_cap_ends_within_budget(capsys):
+    # just inside cli.MAX_MUL_WORK (0.98 of it): 101-bit coordinates, the
+    # shape that took the most time per unit of the estimate (4.3-5.0 s)
+    a = _seeded_literal(99991, 4950, 2**100)
+    assert 0.95 * cli.MAX_MUL_WORK < cli._mul_work(CycElt.parse(a), CycElt.parse(a)) <= cli.MAX_MUL_WORK
+    start = time.monotonic()
+    assert run(["elt", "mul", a, a, "--quiet"]) == 0
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().out.startswith("99991:[")
 
 
 def test_bernoulli_at_the_index_cap_ends_within_budget():

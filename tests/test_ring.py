@@ -514,31 +514,57 @@ def _norm_work_of(a):
     return ring._norm_work(a.n, d, window, a.n > 2 and d <= ring.MAX_REAL_NORM_PHI, squares, lag1)
 
 
+def _norm_route_of(a):
+    """`ring._norm_route` of an element, windowed the way `norm` windows it:
+    (evaluate, work) for the route that `norm` takes."""
+    _, ints = ring._cleared(a.coeffs)
+    _, window, squares, lag1 = ring._window(ints)
+    return ring._norm_route(a.n, len(ints), window, squares, lag1)
+
+
 def _binomial_unit(p, j):
     """(1 + zeta_p)^j, a unit of Z[zeta_p] for odd p, from its coordinates."""
     return CycElt(p, [math.comb(j, i) for i in range(j + 1)])
 
 
 def test_norm_refuses_large_work_before_any_resultant(monkeypatch):
-    def no_resultant(*args):
-        raise AssertionError("a resultant ran before the size check")
+    def no_work(*args):
+        raise AssertionError("a resultant or an evaluation ran before the size check")
 
     rng = random.Random(97)
     big = [
-        CycElt(1009, [rng.randint(-9, 9) for _ in range(1008)]),  # took 46 s
-        CycElt(1381, [rng.randint(-9, 9) for _ in range(173)] + [7]),  # a block of d/8
+        CycElt(2003, [rng.randint(-9, 9) for _ in range(2002)]),
+        CycElt(1381, [rng.randint(-(10**20), 10**20) for _ in range(173)] + [7]),  # a block of d/8
         _binomial_unit(2003, 1000),
         CycElt(40009, [1, 2]),  # its first pseudo-remainder would hold 200 MB
         CycElt(99991, [3, 10**40]),
     ]
-    monkeypatch.setattr(ring, "resultant", no_resultant)
+    monkeypatch.setattr(ring, "resultant", no_work)
+    monkeypatch.setattr(ring, "_evaluated_norm", no_work)
+    monkeypatch.setattr(ring, "_autocorrelation", no_work)
     for a in big:
-        assert _norm_work_of(a) > ring.MAX_NORM_WORK
+        assert _norm_route_of(a)[1] > ring.MAX_NORM_WORK
         for attempt in (a.norm, a.is_unit):
             with pytest.raises(ValueError, match="norm work estimate exceeds 600000000"):
                 attempt()
     with pytest.raises(ValueError, match="norm work estimate exceeds"):
         decompose_unit(_binomial_unit(2003, 1000))
+
+
+def test_norm_serves_by_evaluation_what_the_resultant_refused():
+    # the dense element took 46 s by resultant, the block of d/8 16.8 s; both
+    # were refused when the resultant was the only route
+    rng = random.Random(97)
+    served = [
+        CycElt(1009, [rng.randint(-9, 9) for _ in range(1008)]),
+        CycElt(1381, [rng.randint(-9, 9) for _ in range(173)] + [7]),
+    ]
+    for a in served:
+        evaluate, work = _norm_route_of(a)
+        assert evaluate and work <= ring.MAX_NORM_WORK < _norm_work_of(a)
+        start = time.monotonic()
+        assert a.norm() > 1 and a.is_unit() is False
+        assert time.monotonic() - start < 10
 
 
 def test_norm_work_estimate_keeps_the_served_inputs_far_below_the_limit():
@@ -549,6 +575,7 @@ def test_norm_work_estimate_keeps_the_served_inputs_far_below_the_limit():
         if n % 4 != 2 and d <= 48:
             a = CycElt(n, [rng.choice((-9, -4, 1, 5, 9)) for _ in range(d)])
             assert _norm_work_of(a) * 1000 < ring.MAX_NORM_WORK
+            assert _norm_route_of(a)[1] * 1000 < ring.MAX_NORM_WORK
     assert _norm_work_of(CycElt(99991, [1, 1])) * 200 < ring.MAX_NORM_WORK
     # a run of ones is bounded through A * (1 - zeta) = 1 - zeta^j; random
     # signs over the same window (37 s for one such norm) are not
@@ -681,6 +708,20 @@ def _norm_test_elements(rng, n, width, max_shift):
     ]
 
 
+def _both_routes(a):
+    """N(a) by each route that `norm` chooses between, whichever it takes:
+    (evaluated, resultant), evaluated None for n <= 2."""
+    m, ints = ring._cleared(a.coeffs)
+    n, d = a.n, len(ints)
+    _, window, squares, lag1 = ring._window(ints)
+    real = n > 2 and d <= ring.MAX_REAL_NORM_PHI
+    by_resultant = resultant(*ring._resultant_pair(n, window, real, squares, lag1))
+    by_evaluation = None
+    if n > 2:
+        by_evaluation = ring._evaluated_norm(n, d, window, squares, lag1)
+    return [None if r is None else polys._scalar(Fraction(r, m**d)) for r in (by_evaluation, by_resultant)]
+
+
 @pytest.mark.parametrize("n", range(1, 151))
 def test_norm_matches_full_degree_resultant(n):
     rng = random.Random(83 + n)
@@ -688,8 +729,65 @@ def test_norm_matches_full_degree_resultant(n):
         got = a.norm()
         want = _full_degree_norm(a)
         assert got == want and type(got) is type(want)
+        if a:
+            by_evaluation, by_resultant = _both_routes(a)
+            assert by_resultant == want and by_evaluation in (want, None)
         if totient(n) <= 24:
             assert got == conjugate_product_norm(a)
+
+
+def test_full_degree_comparison_reaches_both_routes():
+    # the elements of test_norm_matches_full_degree_resultant, by the route that `norm` takes
+    routes = set()
+    for n in range(1, 151):
+        rng = random.Random(83 + n)
+        routes.update(_norm_route_of(a)[0] for a in _norm_test_elements(rng, n, totient(n), n) if a)
+    assert routes == {True, False}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 101, 211])
+def test_evaluated_norm_of_constants(p):
+    # N(c) = c^(p-1) is within a factor sqrt(e) of the bound (p c^2 / (p-1))^((p-1)/2),
+    # so a modulus one power of l short of the bound gives a wrong norm
+    for c in (1, 2, -3, 5, 7, -10, 99, 2**40 + 1):
+        assert ring._evaluated_norm(p, p - 1, [c], c * c, 0) == c ** (p - 1), c
+        assert CycElt(p, [c]).norm() == c ** (p - 1)
+
+
+def test_evaluated_norm_checks_the_lifted_root(monkeypatch):
+    a = CycElt(15, [3, -1, 4, 1, -5, 9, 2, 6])
+    want = _full_degree_norm(a)
+    assert _norm_route_of(a)[0] and a.norm() == want
+    lifted = ring._lifted_root
+    ell, omega = ring._prime_root(15)
+    # omega itself, not lifted past l; and a lifted root of order 5, not 15
+    for bad in (lambda n, e: (omega, pow(omega, -1, ell**e)), lambda n, e: tuple(x**3 for x in lifted(n, e))):
+        monkeypatch.setattr(ring, "_lifted_root", bad)
+        with pytest.raises(InternalInvariantError, match="not a root of Phi_n"):
+            a.norm()
+    monkeypatch.setattr(ring, "_lifted_root", lifted)
+    assert a.norm() == want
+
+
+def test_lifted_root_is_a_root_of_phi_n_at_every_precision():
+    for n in (3, 4, 12, 15, 47, 105, 211):
+        ell, omega = ring._prime_root(n)
+        ring._LIFTED_ROOTS.pop(n, None)
+        for e in (1, 2, 3, 5, 9, 4, 40, 33):
+            mod = ell**e
+            w, v = ring._lifted_root(n, e)
+            assert w % ell == omega and w * v % mod == 1
+            assert sum(c * pow(w, i, mod) for i, c in enumerate(cyclotomic_poly(n).coeffs)) % mod == 0
+
+
+def test_norm_route_choice_examples():
+    rng = random.Random(131)
+    dense = [CycElt(n, [rng.randint(-9, 9) for _ in range(totient(n))]) for n in (7, 47, 105, 211, 643)]
+    for a in dense:
+        assert _norm_route_of(a)[0], a.n
+    # sparse windows, huge coordinates, single coordinates and n <= 2 keep the resultant
+    for text in ("997:[1,2]", "4001:[1,2]", f"211:[{10**30},{3 * 10**29 + 7}]", "99991:[1,1]", "211:[5]", "2:[7]"):
+        assert not _norm_route_of(CycElt.parse(text))[0], text
 
 
 # conductors whose phi(n) straddles the bound, a prime and a composite on each
@@ -700,21 +798,32 @@ NEAR_REAL_NORM_BOUND = (997, 1111, 1009, 1073)
 @pytest.mark.parametrize("n", NEAR_REAL_NORM_BOUND)
 def test_norm_near_the_real_subfield_bound(n, monkeypatch):
     assert {totient(k) <= ring.MAX_REAL_NORM_PHI for k in NEAR_REAL_NORM_BOUND} == {True, False}
-    degrees = []
+    degrees, evaluated = [], []
 
     def recording_resultant(f, g):
         degrees.append(f.degree)
         return resultant(f, g)
 
+    def recording_evaluation(*args):
+        evaluated.append(args[0])
+        return evaluate(*args)
+
     rng = random.Random(89 + n)
     elts = _norm_test_elements(rng, n, 12, 40) + [CycElt(n, [1, 2]), CycElt(n, [3, 0, -1]) * zeta_pow(n, n // 2)]
     wants = [_full_degree_norm(a) for a in elts]
+    # a dense element, whose norm by resultant takes tens of seconds here
+    elts.append(CycElt(n, [rng.randint(-9, 9) for _ in range(totient(n))]))
+    routes = [_norm_route_of(a)[0] for a in elts]
+    evaluate = ring._evaluated_norm
     monkeypatch.setattr(ring, "resultant", recording_resultant)
+    monkeypatch.setattr(ring, "_evaluated_norm", recording_evaluation)
     for a, want in zip(elts, wants):
         got = a.norm()
         assert got == want and type(got) is type(want)
+    assert elts[-1].norm() > 1
     d = totient(n)
-    assert degrees == [d // 2 if d <= ring.MAX_REAL_NORM_PHI else d] * len(elts)
+    assert degrees == [d // 2 if d <= ring.MAX_REAL_NORM_PHI else d] * routes.count(False)
+    assert evaluated == [n] * routes.count(True) and routes[-1]
 
 
 @pytest.mark.parametrize("n", [*range(3, 80), 210, 997, 1111])
@@ -750,15 +859,19 @@ def test_is_real_examples():
 def test_caches_are_thread_safe():
     rng = random.Random(61)
     elts = [rand_elt(rng, n, max_den=3) for n in (7, 9, 12, 15, 16, 20, 21)]
-    serial = [(a.inverse(), a.trace(), a.norm()) for a in elts]
-    for cache in (ring._ramanujan_sums, ring._real_cyclotomic, cyclotomic_poly, polys._product_form):
+    assert all(_norm_route_of(a)[0] for a in elts)  # the norms take the evaluation
+    serial = [(a.inverse(), a.trace(), a.norm(), is_root_of_unity(a)) for a in elts]
+    for cache in (ring._ramanujan_sums, ring._real_cyclotomic, ring._prime_root, ring._kept_conjugate_rows):
         cache.cache_clear()
+    cyclotomic_poly.cache_clear()
+    polys._product_form.cache_clear()
+    ring._LIFTED_ROOTS.clear()
     results = [None] * 4
     start = threading.Barrier(len(results), timeout=30)
 
     def work(slot):
         start.wait()
-        results[slot] = [(a.inverse(), a.trace(), a.norm()) for a in elts]
+        results[slot] = [(a.inverse(), a.trace(), a.norm(), is_root_of_unity(a)) for a in elts]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
     interval = sys.getswitchinterval()
