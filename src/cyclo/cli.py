@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import cache, reduce
 
@@ -58,8 +57,7 @@ def _mul_work(a, b):
     cleared."""
 
     def terms_and_words(x):
-        m = math.lcm(*(c.denominator for c in x.coeffs))
-        bits = max(abs(c.numerator).bit_length() for c in x.coeffs) + m.bit_length()
+        bits = max(abs(c.numerator).bit_length() for c in x.coeffs) + x._den.bit_length()
         return sum(map(bool, x.coeffs)), 1 + bits // 64
 
     (ta, wa), (tb, wb) = terms_and_words(a), terms_and_words(b)

@@ -186,9 +186,9 @@ def _product_form(n: int):
 
 def _times_binomials(c, ups, downs):
     """c times prod (1 - X^d) over ups, divided by prod (1 - X^d) over downs,
-    as power series truncated at len(c), in place; ints or Fractions.  Each
-    factor is one strided pass (Arnold and Monagan, Math. Comp. 80, 2011): a
-    difference at stride d, or prefix sums at stride d, taken per residue
+    as power series truncated at len(c), in place; the ring passes ints only.
+    Each factor is one strided pass (Arnold and Monagan, Math. Comp. 80, 2011):
+    a difference at stride d, or prefix sums at stride d, taken per residue
     class or per block of d, whichever needs fewer steps.  Differences go
     first, so the entries stay small.  ups and downs are ascending, and a
     factor with d >= len(c) changes nothing and ends its list."""

@@ -7,14 +7,14 @@ through one map, `_reduce`: exponents fold modulo n, then the remainder
 is taken through the product form Phi_n = prod (1 - X^d)^moebius(n/d),
 one strided pass per factor for the quotient and one for its product
 with Phi_n, so a reduction of k places costs about k per factor and no
-polynomial is divided.  The reduced form is unique, so equality is
-coordinate comparison.  Integer coordinates are stored as int; the
-elements with all integer coordinates are exactly the members of
-Z[zeta_n] (for prime-power n this ring is the full ring of integers; for
-other n the predicate means membership in Z[zeta_n], nothing more).
+polynomial is divided.  An element is stored as integer coordinates over
+one denominator in lowest terms, a unique form, so equality is coordinate
+comparison; those of denominator 1 are exactly the members of Z[zeta_n]
+(for prime-power n this ring is the full ring of integers; for other n
+the predicate means membership in Z[zeta_n], nothing more).
 
-Nothing divides polynomials over Q, and products clear denominators
-first, so the product loop multiplies ints only.  The trace reads a table
+Nothing divides polynomials over Q, and sums and products (over the lcm
+and the product of the denominators) run on ints.  The trace reads a table
 of Ramanujan sums.  The norm takes whichever of two routes a cost model,
 fitted to timings of both, says is cheaper (`_norm_route`).  Each reads the
 real element A * conj(A) = c_0 + sum c_k (zeta^k + zeta^-k) off the
@@ -70,15 +70,13 @@ __all__ = [
 ]
 
 
-def _reduce(n, raw, fractions=True):
+def _reduce(n, raw):
     """The canonical length-phi(n) form of sum raw[i] * zeta^i: fold the
     exponents modulo n (zeta^n = 1), then take the remainder r = v - q * Phi_n
     of the folded v, both products by the strided passes of the product
     form.  Phi_n is palindromic for n > 1, so the reversed quotient is the
     reversed top of v times 1/Phi_n, truncated: the same passes with the
-    roles of the two factor lists swapped.  With fractions=False the caller
-    promises int entries, and the coordinates are returned without
-    normalizing each one."""
+    roles of the two factor lists swapped.  The entries are ints."""
     d, ups, downs = _product_form(n)
     vec = [0] * max(d, min(n, len(raw)))
     for i, c in enumerate(raw):
@@ -87,34 +85,20 @@ def _reduce(n, raw, fractions=True):
     if len(vec) > d:
         q = _times_binomials(vec[: d - 1 : -1], downs, ups)[::-1][:d]
         vec = map(operator.sub, vec[:d], _times_binomials(q + [0] * (d - len(q)), ups, downs))
-    return tuple(map(_scalar, vec)) if fractions else tuple(vec)
-
-
-def _cleared(vec):
-    """(m, ints): the least m >= 1 with m*vec integral, and m*vec as ints."""
-    m = math.lcm(*(c.denominator for c in vec))
-    return (1, vec) if m == 1 else (m, [c.numerator * (m // c.denominator) for c in vec])
-
-
-def _divided(vec, m):
-    """vec / m as normalized scalars; m is a nonzero int."""
-    return vec if m == 1 else tuple(_scalar(Fraction(c, m)) for c in vec)
+    return tuple(vec)
 
 
 def _mul_vecs(n, a, b):
-    """The reduced product of two coordinate vectors.  Denominators are
-    cleared once per operand, so the loop multiplies ints only, and it runs
+    """The reduced product of two integer coordinate vectors.  The loop runs
     over the nonzero entries of both: a product with a sparse factor such
     as a scalar or zeta^j costs d * (its nonzero entries)."""
-    ma, a = _cleared(a)
-    mb, b = _cleared(b)
     terms = [(j, bj) for j, bj in enumerate(b) if bj]
     prod = [0] * (2 * len(a) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in terms:
                 prod[i + j] += ai * bj
-    return _divided(_reduce(n, prod, fractions=False), ma * mb)
+    return _reduce(n, prod)
 
 
 def _galois_vec(n, vec, k):
@@ -400,28 +384,42 @@ class CycElt:
 
     The constructor accepts a scalar or any-length coordinate sequence and
     reduces it modulo the n-th cyclotomic polynomial, so it doubles as the
-    canonicalization map.
+    canonicalization map.  Stored, and operated on, as ints `_nums` over one
+    denominator `_den` >= 1 in lowest terms; `coeffs` shows ints and Fractions.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "_nums", "_den")
 
     def __init__(self, n, coeffs=()):
         check_conductor(n)
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", _reduce(n, [_scalar(c) for c in coeffs]))
+        coeffs = [_scalar(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        nums = coeffs if den == 1 else [c.numerator * (den // c.denominator) for c in coeffs]
+        self._store(n, _reduce(n, nums), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycElt is immutable")
 
+    def _store(self, n, nums, den):
+        """Set n and nums / den, for a tuple of reduced ints and den != 0, in lowest terms."""
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_nums", nums if g == 1 else tuple(c // g for c in nums))
+        object.__setattr__(self, "_den", den // g)
+
     @classmethod
-    def _of(cls, n, coeffs):
-        """An element from already-reduced coordinates, unchecked."""
+    def _of(cls, n, nums, den):
+        """The element nums / den (see `_store`), unchecked."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "coeffs", coeffs)
+        out._store(n, nums, den)
         return out
+
+    @property
+    def coeffs(self):
+        """The phi(n) coordinates, each an int or a Fraction in lowest terms."""
+        return self._nums if self._den == 1 else tuple(_scalar(Fraction(c, self._den)) for c in self._nums)
 
     # -- constructors ------------------------------------------------------
 
@@ -451,16 +449,18 @@ class CycElt:
         return f"CycElt.parse({str(self)!r})"
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = CycElt(self.n, other)
+        if not isinstance(other, CycElt):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        # a rational element equals its value, so it hashes as its value
+        return hash((self.n, self._den, self._nums) if any(self._nums[1:]) else self.as_scalar())
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self._nums)
 
     # -- ring operations ---------------------------------------------------
 
@@ -473,22 +473,24 @@ class CycElt:
             return CycElt(self.n, (other,))
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycElt(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = math.lcm(self._den, other._den)
+        a, b = (x._nums if x._den == den else [c * (den // x._den) for c in x._nums] for x in (self, other))
+        return CycElt._of(self.n, tuple(map(op, a, b)), den)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElt(self.n, [-c for c in self.coeffs])
+        return CycElt._of(self.n, tuple(-c for c in self._nums), self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycElt(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -497,7 +499,7 @@ class CycElt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycElt._of(self.n, _mul_vecs(self.n, self.coeffs, other.coeffs))
+        return CycElt._of(self.n, _mul_vecs(self.n, self._nums, other._nums), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -530,20 +532,20 @@ class CycElt:
 
     def as_scalar(self):
         """The rational value, if the element lies in Q; error otherwise."""
-        if any(self.coeffs[1:]):
+        if any(self._nums[1:]):
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return _scalar(Fraction(self._nums[0], self._den))
 
     def is_integral(self):
         """Member of Z[zeta_n]: every power-basis coordinate is an integer."""
-        return all(isinstance(c, int) for c in self.coeffs)
+        return self._den == 1
 
     def galois(self, k: int) -> "CycElt":
         """Apply the automorphism zeta -> zeta^k; k must be coprime to n."""
         n = self.n
         if math.gcd(k, n) != 1:
             raise ValueError("galois index must be coprime to the conductor")
-        return CycElt._of(n, _galois_vec(n, self.coeffs, k % n))
+        return CycElt._of(n, _galois_vec(n, self._nums, k % n), self._den)
 
     def conj(self) -> "CycElt":
         """Complex conjugation: the automorphism zeta -> zeta^(n-1)."""
@@ -568,8 +570,7 @@ class CycElt:
         """
         if not self:
             return 0
-        n = self.n
-        m, ints = _cleared(self.coeffs)
+        n, m, ints = self.n, self._den, self._nums
         d = len(ints)
         _, a, squares, lag1 = _window(ints)
         evaluate, work = _norm_route(n, d, a, squares, lag1)
@@ -584,7 +585,7 @@ class CycElt:
     def trace(self):
         """Field trace down to Q: the sum of all Galois conjugates, taken
         as sum c_i * Tr(zeta^i) with Tr(zeta^i) the Ramanujan sum c_n(i)."""
-        return _scalar(sum(c * t for c, t in zip(self.coeffs, _ramanujan_sums(self.n)) if c))
+        return _scalar(Fraction(sum(map(operator.mul, self._nums, _ramanujan_sums(self.n))), self._den))
 
     def inverse(self) -> "CycElt":
         """Multiplicative inverse, fraction-free, from the norm's resultant
@@ -592,7 +593,7 @@ class CycElt:
         c = t * g (mod f) for g's cofactor t.  Over the real subfield
         g(theta) = A * conj(A), so self^-1 = m * conj(A) * t(zeta + 1/zeta) / c;
         over Phi_n, g = A / zeta^start and self^-1 = m * t / (zeta^start * c).
-        The one division, by c, comes last.  Refused before any resultant or
+        c becomes the denominator.  Refused before any resultant or
         product when `_norm_work` plus `_output_work` exceeds MAX_INVERSE_WORK.
 
         >>> a = CycElt.parse('7:[1,2]')
@@ -601,8 +602,7 @@ class CycElt:
         """
         if not self:
             raise ZeroDivisionError("division by zero")
-        n = self.n
-        m, ints = _cleared(self.coeffs)
+        n, m, ints = self.n, self._den, self._nums
         d = len(ints)
         start, a, squares, lag1 = _window(ints)
         real = n > 2 and d <= MAX_REAL_NORM_PHI
@@ -612,11 +612,11 @@ class CycElt:
         t, c = resultant_cofactor(*_resultant_pair(n, a, real, squares, lag1))
         if real:
             # conj(A) / zeta^D, small integers: A_i sits at -i - D mod n
-            bar = _reduce(n, [0] * ((2 - len(t) - len(ints)) % n) + [*reversed(ints)], fractions=False)
+            bar = _reduce(n, [0] * ((2 - len(t) - len(ints)) % n) + [*reversed(ints)])
             vec = _mul_vecs(n, bar, _zeta_form(t))
         else:
-            vec = _reduce(n, [0] * (-start % n) + t, fractions=False)
-        return CycElt._of(n, _divided(tuple(x * m for x in vec), c))
+            vec = _reduce(n, [0] * (-start % n) + t)
+        return CycElt._of(n, tuple(x * m for x in vec), c)
 
     def is_unit(self):
         """Unit of Z[zeta_n], i.e. norm +-1; requires integer coordinates."""
@@ -739,10 +739,12 @@ def factor_sum_pth_powers(x: int, y: int, p: int) -> list[CycElt]:
     bits = max(abs(c.numerator).bit_length() + c.denominator.bit_length() - 1 for c in (x, y))
     if p * (p - 1) * (96 + (1 + p * bits // 64) * math.isqrt(4 + bits // 16)) > MAX_FACTOR_WORK:
         raise ValueError(f"factor work estimate exceeds {MAX_FACTOR_WORK}")
+    den = math.lcm(x.denominator, y.denominator)
+    x, y = x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
     raw = [x] + [0] * (p - 1)
     factors = []
     for i in range(p):
         raw[i] += y
-        factors.append(CycElt._of(p, _reduce(p, raw)))
+        factors.append(CycElt._of(p, _reduce(p, raw), den))
         raw[i] -= y
     return factors

@@ -22,7 +22,7 @@ from cyclo.errors import InternalInvariantError
 from cyclo.fermat import SearchReport
 from cyclo.ntheory import divisors, factorize, totient
 from cyclo.polys import Poly, _scalar, cyclotomic_poly
-from cyclo.ring import CycElt, _cleared, _divided, _galois_vec, _mul_vecs, zeta_pow
+from cyclo.ring import CycElt, _galois_vec, _mul_vecs, zeta_pow
 
 
 def phi_brute(n):
@@ -239,6 +239,13 @@ def mult_matrix_trace(a):
 # -- inverse by an alternate route ----------------------------------------------
 
 
+def cleared(a):
+    """(m, ints): the least m >= 1 with m * a integral, and the coordinates
+    of m * a, read off a.coeffs one Fraction at a time."""
+    m = math.lcm(*(c.denominator for c in a.coeffs))
+    return m, [int(c * m) for c in a.coeffs]
+
+
 def euclid_inverse(a):
     """Multiplicative inverse, by the extended Euclidean algorithm
     against the (irreducible) n-th cyclotomic polynomial."""
@@ -263,8 +270,7 @@ def sequential_cofactor_inverse(a):
     if not a:
         raise ZeroDivisionError("division by zero")
     n = a.n
-    m = math.lcm(*(c.denominator for c in a.coeffs))
-    ints = [int(c * m) for c in a.coeffs]
+    m, ints = cleared(a)
     a = CycElt(n, ints)
     cof = CycElt.one(n)
     for k in range(2, n):
@@ -323,7 +329,7 @@ def orbit_chain_inverse(a):
     if not a:
         raise ZeroDivisionError("division by zero")
     n = a.n
-    m, ints = _cleared(a.coeffs)
+    m, ints = cleared(a)
     full, cof = ints, (1,) + (0,) * (len(ints) - 1)
     for g, o in _orbit_steps(n):
         t = _galois_vec(n, _chain(n, full, g, o - 1), g)
@@ -331,7 +337,7 @@ def orbit_chain_inverse(a):
         full = _mul_vecs(n, full, t)
     if any(full[1:]) or not full[0]:
         raise InternalInvariantError("conjugate product is not a nonzero rational")
-    return CycElt._of(n, _divided(tuple(c * m for c in cof), full[0]))
+    return CycElt(n, [Fraction(c * m, full[0]) for c in cof])
 
 
 def divisor_scan_root_of_unity(a):

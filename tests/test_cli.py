@@ -16,6 +16,7 @@ from cyclo import ring
 from cyclo.cli import run, to_json
 from cyclo.errors import InternalInvariantError
 from cyclo.ring import CycElt
+from oracles import cleared
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -279,7 +280,7 @@ def _unit_literal(p, factors, seed):
 
 def _norm_route(text):
     """(evaluate, work / MAX_NORM_WORK) for the route that `norm` takes."""
-    _, ints = ring._cleared(CycElt.parse(text).coeffs)
+    _, ints = cleared(CycElt.parse(text))
     _, window, squares, lag1 = ring._window(ints)
     evaluate, work = ring._norm_route(int(text.split(":")[0]), len(ints), window, squares, lag1)
     return evaluate, work / ring.MAX_NORM_WORK
@@ -319,6 +320,19 @@ def test_mul_at_the_work_cap_ends_within_budget(capsys):
     assert run(["elt", "mul", a, a, "--quiet"]) == 0
     assert time.monotonic() - start < 10
     assert capsys.readouterr().out.startswith("99991:[")
+
+
+def test_mul_work_of_p_q_literals():
+    # the words of a coordinate are those of its reduced numerator plus the
+    # lcm of the denominators: (2^57 + 1)/5 over lcm 30 is 58 + 5 bits, one
+    # word, where the cleared numerator (2^57 + 1) * 6 would make it two
+    pairs = [
+        ("9:[1/2,3,-2/3,0,0,1]", "9:[0,1]", 84),
+        ("7:[1/3,144115188075855873/5,0,-7/2]", "7:[0,1]", 63),
+        ("7:[1/3,144115188075855873/5,0,-7/2]", "7:[1180591620717411303421/9,1,1/6]", 198),
+    ]
+    for a, b, work in pairs:
+        assert cli._mul_work(CycElt.parse(a), CycElt.parse(b)) == work
 
 
 def test_bernoulli_at_the_index_cap_ends_within_budget():

@@ -22,6 +22,7 @@ from cyclo.ring import (
 )
 from oracles import (
     _orbit_steps,
+    cleared,
     conjugate_product_norm,
     divisor_scan_root_of_unity,
     euclid_inverse,
@@ -96,10 +97,10 @@ def test_reduce_matches_fold_and_divide(n):
             raw = [rng.randint(-9, 9) for _ in range(length)]
             if frac:
                 raw = [ring._scalar(Fraction(c, rng.randint(1, 5))) for c in raw]
-            got, want = ring._reduce(n, raw), fold_divide_reduce(n, raw)
+            got, want = CycElt(n, raw).coeffs, fold_divide_reduce(n, raw)
             assert got == want and [type(c) for c in got] == [type(c) for c in want], (n, length, frac)
             if not frac:
-                assert ring._reduce(n, raw, fractions=False) == want
+                assert ring._reduce(n, raw) == want
 
 
 def test_reduce_memory_is_linear_in_n():
@@ -120,6 +121,18 @@ def test_equality_is_coefficient_comparison():
     b = CycElt(5, [Fraction(2, 2), Fraction(4, 2)])
     assert a == b and hash(a) == hash(b)
     assert a != CycElt(5, [1, 2, 1, 0])
+
+
+def test_hash_agrees_with_equality():
+    a = CycElt(5, 3)
+    assert a == 3 and 3 in {a} and a in {3} and len({a, 3}) == 1
+    half = CycElt(5, Fraction(1, 2))
+    assert hash(half) == hash(Fraction(1, 2)) and len({half, Fraction(1, 2), Fraction(2, 4)}) == 1
+    assert hash(CycElt(7, [0, Fraction(-4, 6)])) == hash(CycElt(7, [0, Fraction(2, -3)]))
+    # elements of different conductors are unequal, so a set holds both
+    assert CycElt(5, 1) != CycElt(7, 1) and not CycElt(5, 1) == CycElt(7, 1)
+    assert len({CycElt(5, 1), CycElt(7, 1)}) == 2
+    assert CycElt.zeta(5) != CycElt.zeta(7)
 
 
 def test_rejects_bad_conductor_and_floats():
@@ -425,6 +438,93 @@ def test_orbit_steps_cover_the_group():
         assert math.prod(o for _, o in steps) == totient(n)
 
 
+def _schoolbook(n, a, b):
+    """The product of two coordinate vectors over Fractions, one coordinate
+    at a time, reduced by the fold-and-divide oracle."""
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    terms = [(j, Fraction(y)) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        for j, y in terms if x else ():
+            prod[i + j] += x * y
+    return fold_divide_reduce(n, prod)
+
+
+def _assert_stored_as(x, want):
+    """x is stored as ints over a denominator >= 1 prime to them, and its
+    coeffs are want, in value and in int or Fraction type."""
+    assert x._den >= 1 and math.gcd(x._den, *x._nums) == 1
+    assert all(type(c) is int for c in (x._den, *x._nums))
+    got = x.coeffs
+    assert got == tuple(want) and list(map(type, got)) == list(map(type, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 12, 15, 20, 30030])
+def test_stored_form_matches_fraction_oracles(n):
+    """Every operation leaves an element in lowest terms whose coeffs are the
+    Fraction result of the oracles, coordinate by coordinate.  At 30030 the
+    operands fill the first three places and the galois index is 17, so that
+    the oracle reduces few places; conj is checked there through
+    conj(a) * zeta^2, which lies in the first three places too, and the
+    inverse, which fills all 5760, through a * a^-1 = 1.  Division by a
+    rational is left out there: `inverse` refuses a rational at 30030, its
+    work estimate (2.9e8 for 5/3) being above MAX_INVERSE_WORK."""
+    rng = random.Random(113 + n)
+    d = totient(n)
+    width = 3 if n == 30030 else d
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    one = (1,) + (0,) * (d - 1)
+    for _ in range(3 if n == 30030 else 8):
+        raw_a = [frac() for _ in range(width)]
+        raw_b = [frac() for _ in range(width)]
+        x, y = frac(), frac() or Fraction(1, 3)
+        a, b = CycElt(n, raw_a), CycElt(n, raw_b)
+        _assert_stored_as(a, fold_divide_reduce(n, raw_a))
+        _assert_stored_as(b, fold_divide_reduce(n, raw_b))
+        ca, cb = a.coeffs, b.coeffs
+        _assert_stored_as(CycElt(n, [c * 6 for c in raw_a]), fold_divide_reduce(n, [c * 6 for c in raw_a]))
+        _assert_stored_as(a + b, [polys._scalar(u + v) for u, v in zip(map(Fraction, ca), cb)])
+        _assert_stored_as(a - b, [polys._scalar(u - v) for u, v in zip(map(Fraction, ca), cb)])
+        _assert_stored_as(a - a, (0,) * d)
+        _assert_stored_as(x + a, fold_divide_reduce(n, [ca[0] + x, *ca[1:]]))
+        _assert_stored_as(y - a, fold_divide_reduce(n, [y - ca[0], *(-c for c in ca[1:])]))
+        _assert_stored_as(-a, [-c for c in ca])
+        _assert_stored_as(a * b, _schoolbook(n, ca, cb))
+        _assert_stored_as(a * y, _schoolbook(n, ca, [y]))
+        _assert_stored_as(a**3, _schoolbook(n, _schoolbook(n, ca, ca), ca))
+        k = 17 if n == 30030 else rng.choice([k for k in range(1, n + 1) if math.gcd(k, n) == 1])
+        raw = [0] * n
+        for i, c in enumerate(ca[:width]):
+            raw[i * k % n] += c
+        _assert_stored_as(a.galois(k), fold_divide_reduce(n, raw))
+        if n == 30030:
+            bar = a.conj()
+            _assert_stored_as(bar * zeta_pow(n, 2), fold_divide_reduce(n, ca[2::-1]))
+            _assert_stored_as(bar, bar.coeffs)
+            continue
+        _assert_stored_as(a.conj(), fold_divide_reduce(n, [ca[-i % n] if -i % n < d else 0 for i in range(n)]))
+        _assert_stored_as(a / y, _schoolbook(n, ca, [1 / y]))
+        if a:
+            inv = euclid_inverse(a).coeffs
+            _assert_stored_as(a.inverse(), inv)
+            assert _schoolbook(n, ca, inv) == one
+            _assert_stored_as(b / a, _schoolbook(n, cb, inv))
+            _assert_stored_as(a**-2, _schoolbook(n, inv, inv))
+    if n == 30030:
+        a = CycElt(n, [Fraction(1, 2), 1])
+        inv = a.inverse()
+        _assert_stored_as(inv, inv.coeffs)
+        assert _schoolbook(n, a.coeffs, inv.coeffs) == one
+    if n in (3, 7):
+        for x, y in [(Fraction(1, 2), Fraction(-3, 4)), (Fraction(4, 6), 2), (Fraction(1, 2), Fraction(1, 2))]:
+            for i, fac in enumerate(factor_sum_pth_powers(x, y, n)):
+                raw = [x] + [0] * (n - 1)
+                raw[i] += y
+                _assert_stored_as(fac, fold_divide_reduce(n, raw))
+
+
 def test_mul_vecs_matches_fraction_schoolbook():
     rng = random.Random(73)
     for n in (1, 3, 5, 8, 12, 15, 21):
@@ -440,17 +540,19 @@ def test_mul_vecs_matches_fraction_schoolbook():
                     prod[i + j] += Fraction(x) * Fraction(y)
             rem = poly_divmod(Poly(prod), phi)[1].coeffs
             want = rem + (0,) * (phi.degree - len(rem))
-            got = ring._mul_vecs(n, a, b)
+            got = (CycElt(n, a) * CycElt(n, b)).coeffs
             assert got == want
             assert [type(c) for c in got] == [type(c) for c in want]
+            if all(type(c) is int for c in a + b):
+                assert ring._mul_vecs(n, a, b) == want
     # integral products of p/q inputs come back as int
-    prod = ring._mul_vecs(3, (Fraction(1, 2), Fraction(3, 4)), (4, 0))
+    prod = (CycElt(3, (Fraction(1, 2), Fraction(3, 4))) * CycElt(3, (4, 0))).coeffs
     assert prod == (2, 3) and all(type(c) is int for c in prod)
 
 
 def _inverse_work_of(a):
     """The estimate `inverse` checks against ring.MAX_INVERSE_WORK."""
-    _, ints = ring._cleared(a.coeffs)
+    _, ints = cleared(a)
     support = [i for i, c in enumerate(ints) if c]
     d, window = len(ints), ints[support[0] : support[-1] + 1]
     squares, lag1 = (sum(u * v for u, v in zip(window, window[k:])) for k in (0, 1))
@@ -507,7 +609,7 @@ def test_inverse_work_estimate_at_the_cap():
 
 def _norm_work_of(a):
     """`ring._norm_work` of an element, windowed the way `norm` windows it."""
-    _, ints = ring._cleared(a.coeffs)
+    _, ints = cleared(a)
     support = [i for i, c in enumerate(ints) if c]
     d, window = len(ints), ints[support[0] : support[-1] + 1]
     squares, lag1 = (sum(u * v for u, v in zip(window, window[k:])) for k in (0, 1))
@@ -517,7 +619,7 @@ def _norm_work_of(a):
 def _norm_route_of(a):
     """`ring._norm_route` of an element, windowed the way `norm` windows it:
     (evaluate, work) for the route that `norm` takes."""
-    _, ints = ring._cleared(a.coeffs)
+    _, ints = cleared(a)
     _, window, squares, lag1 = ring._window(ints)
     return ring._norm_route(a.n, len(ints), window, squares, lag1)
 
@@ -711,7 +813,7 @@ def _norm_test_elements(rng, n, width, max_shift):
 def _both_routes(a):
     """N(a) by each route that `norm` chooses between, whichever it takes:
     (evaluated, resultant), evaluated None for n <= 2."""
-    m, ints = ring._cleared(a.coeffs)
+    m, ints = cleared(a)
     n, d = a.n, len(ints)
     _, window, squares, lag1 = ring._window(ints)
     real = n > 2 and d <= ring.MAX_REAL_NORM_PHI
