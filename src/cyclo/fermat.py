@@ -10,8 +10,9 @@ exhaustive up to the bound.
 The optional pruning filter uses t^p = t (mod p): any solution has
 z = z^p = x^p + y^p = x + y (mod p), so a pair with p | x + y would force
 p | z and cannot yield a coprime solution.  `pruned_by_filter` counts these
-pairs, with p prime to x and y, in closed form: for each such x, the y in
-x..bound with y = -x (mod p).
+pairs, with p prime to x and y, in closed form per residue class of x mod p
+(`_pruned`): along the class each x has one such y fewer than the x before
+it, so the class adds an arithmetic series.
 
 Most pairs are ruled out without being looked at.  For each x one int bit
 mask over y keeps the y that pass three sound sieves, all as whole-int
@@ -21,14 +22,15 @@ operations:
   period p, the second shifted by x mod p);
 - for each of the first four primes q = 1 (mod p) with q <= 2*bound + 1,
   x^p + y^p must be a p-th-power residue mod q, 0 included, as z^p is.  The
-  y that pass have period q and depend on x only through x^p mod q; the
-  period-q patterns are cached per (p, q).  This is the auxiliary-prime
+  y that pass have period q, and their mask is one list index by x mod q;
+  the period-q patterns are cached per (p, q).  This is the auxiliary-prime
   argument behind Sophie Germain's theorem (Ribenboim, 13 Lectures on
   Fermat's Last Theorem, Lecture IV);
 - the size cut y <= top(x): z >= y + 1 needs (y+1)^p - y^p <= x^p, and
   top(x) is a pointer that never decreases as x grows.
 
-Each y that survives is tested exactly: z^p = x^p + y^p <= 2*y^p gives
+Only an x whose mask keeps some y is scanned for its set bits.  Each y
+that survives is tested exactly: z^p = x^p + y^p <= 2*y^p gives
 z <= 2^(1/p) * y, and z is found by bisection in the list of p-th powers
 from the first x the size cut admits up to the least Z with
 Z^p > 2*bound^p, starting from the z of the previous y.  The search is
@@ -97,15 +99,16 @@ def _auxiliary_primes(p, bound):
 
 @functools.cache
 def _residue_patterns(p, q):
-    """{a: bits} over the p-th-power residues a mod q, 0 included, for a
-    prime q = 1 (mod p): bit r of bits is set when a + r^p mod q is again
-    such a residue, so a pair with x^p = a (mod q) can only be a solution
-    when y mod q is a set bit."""
+    """(powers, patterns) for a prime q = 1 (mod p): powers[r] = r^p mod q
+    for r = 0..q-1, and patterns = {a: bits} over the p-th-power residues a
+    mod q, 0 included, where bit r of bits is set when a + r^p mod q is
+    again such a residue, so a pair with x^p = a (mod q) can only be a
+    solution when y mod q is a set bit."""
+    powers = [pow(r, p, q) for r in range(q)]
     classes = {}
-    for r in range(q):
-        c = pow(r, p, q)
+    for r, c in enumerate(powers):
         classes[c] = classes.get(c, 0) | 1 << r
-    return {a: sum(bits for c, bits in classes.items() if (a + c) % q in classes) for a in classes}
+    return powers, {a: sum(bits for c, bits in classes.items() if (a + c) % q in classes) for a in classes}
 
 
 def _periodic(bits, period, length):
@@ -147,8 +150,9 @@ def _powers(p, bound):
 class _Table(NamedTuple):
     """What a search derives from (p, bound) alone: `_powers`, the mask of
     the y prime to p over bound + 1 + p bits, and for each auxiliary prime
-    q the period-q pattern of every p-th-power residue class a mod q
-    expanded to bound + 1 bits, as (q, {a: mask})."""
+    q the list by_residue of the y mask by x mod q, as (q, by_residue):
+    by_residue[r] is the period-q pattern of the class of r^p mod q expanded
+    to bound + 1 bits, one int per class shared by the slots of its r."""
 
     x0: int
     pth: list
@@ -156,18 +160,25 @@ class _Table(NamedTuple):
     sieves: list
 
     def bits(self):
-        """An upper bound on the bits the table holds; pth is not empty."""
-        masks = self.coprime.bit_length() + sum(m.bit_length() for _, ms in self.sieves for m in ms.values())
+        """An upper bound on the bits the table holds: each distinct mask
+        once, q.bit_length() bits per by_residue slot (enough to name its
+        class), and the powers; like the masks and powers, the slots are
+        counted without the interpreter's per-object overhead.  pth is not
+        empty."""
+        masks = self.coprime.bit_length()
+        for q, by_residue in self.sieves:
+            masks += sum({id(m): m.bit_length() for m in by_residue}.values()) + q * q.bit_length()
         return masks + len(self.pth) * self.pth[-1].bit_length()
 
 
 def _table(p, bound):
     x0, pth = _powers(p, bound)
     coprime = _periodic((1 << p) - 2, p, bound + 1 + p)
-    sieves = [
-        (q, {a: _periodic(bits, q, bound + 1) for a, bits in _residue_patterns(p, q).items()})
-        for q in _auxiliary_primes(p, bound)
-    ]
+    sieves = []
+    for q in _auxiliary_primes(p, bound):
+        powers, patterns = _residue_patterns(p, q)
+        expanded = {a: _periodic(bits, q, bound + 1) for a, bits in patterns.items()}
+        sieves.append((q, [expanded[c] for c in powers]))
     return _Table(x0, pth, coprime, sieves)
 
 
@@ -193,9 +204,11 @@ class _Tables:
         entry = table.bits(), table
         with self._lock:
             if self._tables.setdefault(key, entry) is entry:
-                self.bits += entry[0]
-                while self.bits > MAX_POWER_BITS and len(self._tables) > 1:
-                    self.bits -= self._tables.popitem(last=False)[1][0]
+                # summed apart, so a reader without the lock never sees a total above the limit
+                bits = self.bits + entry[0]
+                while bits > MAX_POWER_BITS and len(self._tables) > 1:
+                    bits -= self._tables.popitem(last=False)[1][0]
+                self.bits = bits
         return table
 
 
@@ -211,21 +224,37 @@ def _sieve(p, bound, use_filter, start, hi, table):
     x0, pth, coprime, sieves = table
     top = start - 1
     for x in range(start, hi + 1):
-        if x % p == 0:
+        r = x % p
+        if r == 0:
             continue
         xp = pth[x - x0]
         while top < bound and pth[top + 2 - x0] - pth[top + 1 - x0] <= xp:
             top += 1
-        mask = coprime & (coprime >> x % p) if use_filter else coprime
-        for q, expanded in sieves:
-            mask &= expanded[pow(x, p, q)]
-        bits = format((mask & (1 << top + 1) - (1 << x)) >> x, "b")[::-1]  # bits[i]: y = x + i
-        ys, i = [], bits.find("1")
-        while i >= 0:
-            ys.append(x + i)
-            i = bits.find("1", i + 1)
-        if ys:
+        mask = (coprime & (coprime >> r) if use_filter else coprime) & (1 << top + 1) - (1 << x)
+        for q, by_residue in sieves:
+            mask &= by_residue[x % q]
+        if mask:
+            bits = format(mask >> x, "b")[::-1]  # bits[i]: y = x + i
+            ys, i = [], bits.find("1")
+            while i >= 0:
+                ys.append(x + i)
+                i = bits.find("1", i + 1)
             yield x, ys
+
+
+def _pruned(p, bound, lo, hi):
+    """The pairs the filter prunes for x in lo..hi (1 <= lo, hi <= bound):
+    x and y in x..bound prime to p with y = -x (mod p).  Such an x = r
+    (mod p), r != 0, has (bound - x - delta) // p + 1 of them, delta = -2r
+    mod p: 0 for x > bound - delta, and one fewer than x - p had.  So each
+    class of lo..hi adds an arithmetic series, and the count loops over the
+    at most p residues of lo..hi alone."""
+    count = 0
+    for x in range(lo, min(hi, lo + p - 1) + 1):
+        if x % p:
+            t = (hi - x) // p + 1  # the x of the class in lo..hi
+            count += t * ((bound - x - (-2 * x % p)) // p + 1) - t * (t - 1) // 2
+    return count
 
 
 def case_i_search(p: int, bound: int, use_filter: bool = True, x_range=None) -> SearchReport:
@@ -240,12 +269,7 @@ def case_i_search(p: int, bound: int, use_filter: bool = True, x_range=None) -> 
     lo, hi = x_range if x_range is not None else (1, bound)
     lo, hi = max(lo, 1), min(hi, bound)
     candidates = max(0, hi - lo + 1) * (2 * bound + 2 - lo - hi) // 2
-    pruned = 0
-    if use_filter:
-        for x in range(lo, hi + 1):
-            first = x + (-2 * x) % p  # least y >= x with y = -x (mod p)
-            if x % p and first <= bound:
-                pruned += (bound - first) // p + 1
+    pruned = _pruned(p, bound, lo, hi) if use_filter else 0
     solutions = []
     # the cut is monotone in x, so a chunk whose last x it refuses needs no table
     if lo <= hi and (hi + 1) ** p <= 2 * hi**p:

@@ -593,8 +593,10 @@ class CycElt:
         c = t * g (mod f) for g's cofactor t.  Over the real subfield
         g(theta) = A * conj(A), so self^-1 = m * conj(A) * t(zeta + 1/zeta) / c;
         over Phi_n, g = A / zeta^start and self^-1 = m * t / (zeta^start * c).
-        c becomes the denominator.  Refused before any resultant or
-        product when `_norm_work` plus `_output_work` exceeds MAX_INVERSE_WORK.
+        c becomes the denominator.  A monomial A = c * zeta^start is
+        inverted as m / (c * zeta^start) before any estimate; any other
+        element is refused before any resultant or product when
+        `_norm_work` plus `_output_work` exceeds MAX_INVERSE_WORK.
 
         >>> a = CycElt.parse('7:[1,2]')
         >>> a * a.inverse() == 1
@@ -605,6 +607,8 @@ class CycElt:
         n, m, ints = self.n, self._den, self._nums
         d = len(ints)
         start, a, squares, lag1 = _window(ints)
+        if len(a) == 1:
+            return CycElt._of(n, _reduce(n, [0] * (-start % n) + [m]), a[0])
         real = n > 2 and d <= MAX_REAL_NORM_PHI
         work = _norm_work(n, d, a, real, squares, lag1) + _output_work(n, d, start, real, squares, lag1)
         if work > MAX_INVERSE_WORK:

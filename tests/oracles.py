@@ -8,8 +8,9 @@ Galois-conjugate folding, multiplication-matrix traces, the extended
 Euclidean inverse over Q, the inverse by a sequential cofactor product
 over the Galois conjugates and by doubling chains over the Galois orbits,
 roots of unity by a power per divisor of 2n, the Case I search by a
-binary-search p-th root per pair and by a z-pointer over every pair, and
-Bernoulli numbers by the defining recurrence over Fractions.  They are
+binary-search p-th root per pair and by a z-pointer over every pair, its
+sieve by a mask looked up by x^p mod q for each x and its pruned count x
+by x, and Bernoulli numbers by the defining recurrence over Fractions.  They are
 deliberately slow and simple.
 """
 
@@ -437,6 +438,55 @@ def pointer_walk_case_i_search(p, bound, use_filter=True, x_range=None):
         pruned_by_filter=pruned,
         solutions=tuple(solutions),
     )
+
+
+def per_x_pruned(p, bound, x_range=None):
+    """The pairs the Case I filter prunes, x by x: for each x of the chunk
+    prime to p, the y in x..bound with y = -x (mod p)."""
+    lo, hi = x_range if x_range is not None else (1, bound)
+    pruned = 0
+    for x in range(max(lo, 1), min(hi, bound) + 1):
+        first = x + (-2 * x) % p  # least y >= x with y = -x (mod p)
+        if x % p and first <= bound:
+            pruned += (bound - first) // p + 1
+    return pruned
+
+
+def power_keyed_sieves(p, bound, qs):
+    """[(q, {a: mask})] for each q in qs, a prime = 1 (mod p): a runs over
+    the p-th-power residues mod q, 0 included, and bit y of mask, y in
+    0..bound, is set when a + y^p mod q is again one."""
+    out = []
+    for q in qs:
+        powers = [pow(y, p, q) for y in range(q)]
+        residues = set(powers)
+        masks = {a: sum(1 << y for y in range(bound + 1) if (a + powers[y % q]) % q in residues) for a in residues}
+        out.append((q, masks))
+    return out
+
+
+def power_lookup_sieve(p, bound, use_filter, start, hi, x0, pth, coprime, sieves):
+    """The Case I sieve of `fermat._sieve`, each x looking its masks up in
+    sieves (`power_keyed_sieves`) by pow(x, p, q), and formatting and
+    scanning its mask whether or not any bit is left.  x0, pth and coprime
+    are those of `fermat._table(p, bound)`."""
+    top = start - 1
+    for x in range(start, hi + 1):
+        if x % p == 0:
+            continue
+        xp = pth[x - x0]
+        while top < bound and pth[top + 2 - x0] - pth[top + 1 - x0] <= xp:
+            top += 1
+        mask = coprime & (coprime >> x % p) if use_filter else coprime
+        for q, masks in sieves:
+            mask &= masks[pow(x, p, q)]
+        bits = format((mask & (1 << top + 1) - (1 << x)) >> x, "b")[::-1]  # bits[i]: y = x + i
+        ys, i = [], bits.find("1")
+        while i >= 0:
+            ys.append(x + i)
+            i = bits.find("1", i + 1)
+        if ys:
+            yield x, ys
 
 
 # -- Bernoulli numbers by the defining recurrence ----------------------------------

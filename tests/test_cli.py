@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import cyclo.cli as cli
 from cyclo import ring
 from cyclo.cli import run, to_json
 from cyclo.errors import InternalInvariantError
-from cyclo.ring import CycElt
+from cyclo.ring import CycElt, zeta_pow
 from oracles import cleared
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -240,6 +241,23 @@ def test_commands_at_the_inverse_cap_end_within_budget(capsys, argv):
     assert time.monotonic() - start < 10
     n = argv[2].split(":")[0]
     assert capsys.readouterr().out.startswith((f"{n}:[", f"x={n}:["))
+
+
+@pytest.mark.parametrize(
+    "literal,want",
+    [
+        ("30030:[5/3]", CycElt(30030, Fraction(3, 5))),
+        ("30030:[0,0,0,2]", zeta_pow(30030, -3) * Fraction(1, 2)),
+    ],
+)
+def test_monomials_invert_at_large_conductors(capsys, literal, want):
+    # c * zeta^j is inverted as zeta^-j / c, before the work estimate that
+    # refuses every other element of this size
+    start = time.monotonic()
+    assert run(["elt", "inv", literal]) == 0
+    assert time.monotonic() - start < 5
+    got = CycElt.parse(capsys.readouterr().out.strip())
+    assert got == want and got * CycElt.parse(literal) == 1
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,14 @@ from cyclo.fermat import (
     check_regular_and_search,
     merge_reports,
 )
-from oracles import bisection_case_i_search, perfect_pth_root, pointer_walk_case_i_search
+from oracles import (
+    bisection_case_i_search,
+    per_x_pruned,
+    perfect_pth_root,
+    pointer_walk_case_i_search,
+    power_keyed_sieves,
+    power_lookup_sieve,
+)
 
 
 @pytest.mark.parametrize("s,p,expected", [(32, 5, 2), (33, 5, None), (1, 7, 1)])
@@ -173,7 +180,8 @@ def test_residue_patterns_match_brute_force(p):
     assert qs == _aux_primes_brute(p, 40 * p)
     for q in qs:
         residues = {pow(r, p, q) for r in range(q)}
-        patterns = fermat._residue_patterns(p, q)
+        powers, patterns = fermat._residue_patterns(p, q)
+        assert powers == [pow(r, p, q) for r in range(q)]
         assert set(patterns) == residues
         assert 0 in residues and len(residues) == (q - 1) // p + 1
         for a, bits in patterns.items():
@@ -232,6 +240,66 @@ def test_sieve_keeps_exactly_the_pairs_each_test_keeps(p):
             for lo, hi in [(1, bound), (1, 1), (7, 30), (29, 29), (bound, bound)]:
                 got = _survivors(p, bound, use_filter, lo, hi)
                 assert got == _brute_survivors(p, bound, use_filter, lo, hi), (p, bound, lo, hi)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+def test_sieve_matches_power_lookup_sieve(p):
+    # the masks indexed by x mod q, and only nonzero masks scanned, against
+    # the lookup by x^p mod q that scans every x
+    for bound in (5, 40, 150, 360):
+        table = fermat._table(p, bound)
+        sieves = power_keyed_sieves(p, bound, [q for q, _ in table.sieves])
+        for use_filter in (True, False):
+            for lo, hi in [(1, bound), (7, min(30, bound)), (bound - 2, bound)]:
+                start = max(lo, table.x0)
+                got = list(fermat._sieve(p, bound, use_filter, start, hi, table))
+                want = power_lookup_sieve(p, bound, use_filter, start, hi, *table[:3], sieves)
+                assert got == list(want), (p, bound, use_filter, lo, hi)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+def test_residue_lists_match_power_lookup(p):
+    for bound in (40, 360, 1000):
+        table = fermat._table(p, bound)
+        sieves = power_keyed_sieves(p, bound, [q for q, _ in table.sieves])
+        assert len(sieves) == len(table.sieves) == len(fermat._auxiliary_primes(p, bound))
+        for (q, by_residue), (_, masks) in zip(table.sieves, sieves):
+            assert len(by_residue) == q
+            for x in range(3 * q + 1):
+                assert by_residue[x % q] & (1 << bound + 1) - 1 == masks[pow(x, p, q)], (p, bound, q, x)
+            # one int per class, shared by the slots of its residues
+            assert len({id(m) for m in by_residue}) == len(masks)
+        if table.pth:
+            distinct = [{id(m): m for m in by_residue}.values() for _, by_residue in table.sieves]
+            held = sum(m.bit_length() for masks in distinct for m in masks)
+            held += table.coprime.bit_length() + sum(v.bit_length() for v in table.pth)
+            assert table.bits() >= held
+
+
+def _pruned_ranges(rng, p, bound):
+    """Chunks that are empty, reversed, a single x, at or past the bound,
+    and seeded ones that cross residue classes of p."""
+    fixed = [None, (1, bound), (0, 0), (-7, -1), (5, 4), (bound, 1), (1, 1), (bound, bound)]
+    fixed += [(bound, bound + 9), (bound + 1, bound + 9), (bound - 1, bound + 3)]
+    seeded = []
+    for _ in range(6):
+        lo = rng.randint(-3, bound + 3)
+        seeded.append((lo, lo + rng.randint(-1, 3 * p)))
+    return fixed + seeded
+
+
+def test_pruned_count_matches_per_x_loop():
+    rng = random.Random(1715)
+    for p in (3, 5, 7, 11, 13, 101, 3571):
+        for bound in [*range(61), 360, MAX_BOUND]:
+            for x_range in _pruned_ranges(rng, p, bound):
+                lo, hi = x_range if x_range is not None else (1, bound)
+                got = fermat._pruned(p, bound, max(lo, 1), min(hi, bound))
+                assert got == per_x_pruned(p, bound, x_range), (p, bound, x_range)
+    # through the search, filter on and off, where no table is built
+    for x_range in [None, (3, 60), (61, 200)]:
+        assert case_i_search(3571, 360, x_range=x_range).pruned_by_filter == per_x_pruned(3571, 360, x_range)
+        assert case_i_search(3571, 360, use_filter=False, x_range=x_range).pruned_by_filter == 0
 
 
 def test_size_cut_drops_only_pairs_too_far_apart():
@@ -369,6 +437,44 @@ def test_shared_tables_under_thread_stress(monkeypatch):
     assert results == [serial] * len(results)
     assert over == [] and tables.bits == _retained_bits(tables) <= limit
     assert len(tables._tables) < len(searches)
+
+
+class _RecordingTables(fermat._Tables):
+    """`_Tables` that records every value assigned to `bits`, with the
+    number of tables kept at that moment."""
+
+    def __init__(self):
+        self.assigned = []
+        super().__init__()
+
+    @property
+    def bits(self):
+        return self._bits
+
+    @bits.setter
+    def bits(self, value):
+        self._bits = value
+        self.assigned.append((value, len(self._tables)))
+
+
+def test_tables_never_show_a_total_above_the_limit(monkeypatch):
+    # a limit that holds the first two tables but not (7, 60) alone, which
+    # the size check still admits: no value assigned to bits exceeds it
+    # unless that table is kept alone
+    searches = [(3, 40), (5, 40), (3, 20), (7, 60), (3, 40), (5, 40), (3, 40)]
+    sizes = {s: fermat._table(*s).bits() for s in searches}
+    limit = sizes[3, 40] + sizes[5, 40]
+    size = 2 * 60 + 1
+    assert 7 * size * size.bit_length() <= limit < sizes[7, 60]
+    tables = _RecordingTables()
+    monkeypatch.setattr(fermat, "_TABLES", tables)
+    monkeypatch.setattr(fermat, "MAX_POWER_BITS", limit)
+    for p, bound in searches:
+        assert case_i_search(p, bound) == pointer_walk_case_i_search(p, bound)
+        assert tables.bits == _retained_bits(tables) and list(tables._tables)[-1] == (p, bound)
+    assert tables.assigned[0] == (0, 0) and len(tables.assigned) == len(searches)  # the last one is a hit
+    assert [v for v, kept in tables.assigned if v > limit] == [sizes[7, 60]]
+    assert all(v <= limit or kept == 1 for v, kept in tables.assigned)
 
 
 def test_tables_at_the_bound_cap_stay_within_the_bit_limit(monkeypatch):

@@ -341,15 +341,35 @@ def test_inverse_on_randoms():
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 6, 8, 9, 12, 15, 16, 20, 21, 25, 27))
 def test_inverse_matches_euclid_oracle(n):
-    # n = 2 mod 4 and prime powers included; phi(n) <= 20 keeps the oracle cheap
+    # n = 2 mod 4 and prime powers included; phi(n) <= 20 keeps the oracle cheap.
+    # c * zeta^j for every j < n: monomials of the power basis for j < phi(n)
     rng = random.Random(47 + n)
     elts = [CycElt(n, Fraction(-7, 3)), CycElt.zeta(n) + 1]
+    elts += [zeta_pow(n, j) * (1, -2, Fraction(5, 3), Fraction(-7, 4))[j % 4] for j in range(n)]
     elts += [rand_elt(rng, n, max_den=max_den) for max_den in (1, 1, 5, 5)]
     for a in filter(None, elts):
         inv = euclid_inverse(a)
         assert a.inverse() == inv and repr(a.inverse()) == repr(inv)
         assert repr(3 / a) == repr(inv * 3)
         assert repr(a**-2) == repr(inv * inv)
+
+
+def test_monomial_inverse_needs_no_estimate(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a monomial's inverse ran an estimate or a resultant")
+
+    for name in ("_norm_work", "_output_work", "_resultant_pair"):
+        monkeypatch.setattr(ring, name, no_work)
+    cases = [
+        (CycElt(30030, Fraction(5, 3)), CycElt(30030, Fraction(3, 5))),
+        (CycElt(30030, [0, 0, 0, 2]), zeta_pow(30030, -3) * Fraction(1, 2)),
+        (CycElt(99991, [0] * 7 + [Fraction(-1, 4)]), zeta_pow(99991, -7) * -4),
+        (CycElt(2, -3), CycElt(2, Fraction(-1, 3))),
+    ]
+    for a, want in cases:
+        assert a.inverse() == want and a * want == 1
+    b = CycElt(30030, [1, Fraction(2, 7), -3])
+    assert b / Fraction(5, 3) == b * Fraction(3, 5)
 
 
 @pytest.mark.parametrize("n", [*range(1, 121), 168, 210])
@@ -465,9 +485,7 @@ def test_stored_form_matches_fraction_oracles(n):
     operands fill the first three places and the galois index is 17, so that
     the oracle reduces few places; conj is checked there through
     conj(a) * zeta^2, which lies in the first three places too, and the
-    inverse, which fills all 5760, through a * a^-1 = 1.  Division by a
-    rational is left out there: `inverse` refuses a rational at 30030, its
-    work estimate (2.9e8 for 5/3) being above MAX_INVERSE_WORK."""
+    inverse, which fills all 5760, through a * a^-1 = 1."""
     rng = random.Random(113 + n)
     d = totient(n)
     width = 3 if n == 30030 else d
@@ -499,13 +517,13 @@ def test_stored_form_matches_fraction_oracles(n):
         for i, c in enumerate(ca[:width]):
             raw[i * k % n] += c
         _assert_stored_as(a.galois(k), fold_divide_reduce(n, raw))
+        _assert_stored_as(a / y, _schoolbook(n, ca, [1 / y]))
         if n == 30030:
             bar = a.conj()
             _assert_stored_as(bar * zeta_pow(n, 2), fold_divide_reduce(n, ca[2::-1]))
             _assert_stored_as(bar, bar.coeffs)
             continue
         _assert_stored_as(a.conj(), fold_divide_reduce(n, [ca[-i % n] if -i % n < d else 0 for i in range(n)]))
-        _assert_stored_as(a / y, _schoolbook(n, ca, [1 / y]))
         if a:
             inv = euclid_inverse(a).coeffs
             _assert_stored_as(a.inverse(), inv)
