@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache, reduce
 
@@ -57,8 +58,8 @@ def _mul_work(a, b):
     cleared."""
 
     def terms_and_words(x):
-        bits = max(abs(c.numerator).bit_length() for c in x.coeffs) + x._den.bit_length()
-        return sum(map(bool, x.coeffs)), 1 + bits // 64
+        bits = max(abs(c) // math.gcd(c, x._den) for c in x._nums).bit_length() + x._den.bit_length()
+        return sum(map(bool, x._nums)), 1 + bits // 64
 
     (ta, wa), (tb, wb) = terms_and_words(a), terms_and_words(b)
     return ta * tb * (20 + wa * wb)

@@ -16,30 +16,36 @@ it, so the class adds an arithmetic series.
 
 Most pairs are ruled out without being looked at.  For each x one int bit
 mask over y keeps the y that pass three sound sieves, all as whole-int
-operations:
+operations on masks stored in the table of the search:
 
-- y prime to p and, with the filter, p not dividing x + y (two masks of
-  period p, the second shifted by x mod p);
-- for each of the first four primes q = 1 (mod p) with q <= 2*bound + 1,
+- y prime to p and, with the filter, p not dividing x + y: one mask per
+  residue of x mod p;
+- for each auxiliary prime q = 1 (mod p) with q <= 2*bound + 1,
   x^p + y^p must be a p-th-power residue mod q, 0 included, as z^p is.  The
   y that pass have period q, and their mask is one list index by x mod q;
   the period-q patterns are cached per (p, q).  This is the auxiliary-prime
   argument behind Sophie Germain's theorem (Ribenboim, 13 Lectures on
-  Fermat's Last Theorem, Lecture IV);
-- the size cut y <= top(x): z >= y + 1 needs (y+1)^p - y^p <= x^p, and
-  top(x) is a pointer that never decreases as x grows.
+  Fermat's Last Theorem, Lecture IV).  The search takes the first four
+  such primes, and more while a cost model fitted to timings says that the
+  pairs left to test cost more than another sieve (`_auxiliary_primes`);
+- the size cut y <= top(x): z >= y + 1 needs (y+1)^p - y^p <= x^p.
+  top(x) never decreases as x grows, so one pointer walk stores the window
+  x..top(x) of every x.
 
-Only an x whose mask keeps some y is scanned for its set bits.  Each y
-that survives is tested exactly: z^p = x^p + y^p <= 2*y^p gives
-z <= 2^(1/p) * y, and z is found by bisection in the list of p-th powers
-from the first x the size cut admits up to the least Z with
-Z^p > 2*bound^p, starting from the z of the previous y.  The search is
-partitionable over disjoint x-ranges with a deterministic merge.
+The masks of consecutive x are combined by maps that walk the stored
+lists in step with x, and only an x whose mask keeps some y is scanned
+for its set bits.  Each y that survives is tested exactly:
+z^p = x^p + y^p <= 2*y^p gives z <= 2^(1/p) * y, and z is found by
+bisection in the list of p-th powers from the first x the size cut admits
+up to the least Z with Z^p > 2*bound^p, starting from the z of the
+previous y.  The search is partitionable over disjoint x-ranges with a
+deterministic merge.
 
-That power list, the auxiliary primes and the masks depend on (p, bound)
-alone, so they are built once per search and shared by all its x-range
-chunks, across threads.  The shared tables keep at most MAX_POWER_BITS
-bits of powers and masks, the least recently used search evicted first.
+That power list, the auxiliary primes, the masks and the windows depend
+on (p, bound) alone, so they are built once per search and shared by all
+its x-range chunks, across threads.  The shared tables keep at most
+MAX_POWER_BITS bits of powers and masks, the least recently used search
+evicted first.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ import threading
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import cycle, islice, repeat
+from operator import and_, rshift, sub
 from typing import NamedTuple
 
 from .regularity import is_regular_prime
@@ -72,6 +79,12 @@ __all__ = [
 # searches keep at most as many bits in all.
 MAX_BOUND, MAX_POWER_BITS = 10_000, 1 << 30
 
+# The cost model by which _auxiliary_primes sizes the sieves, in steps of
+# one x's mask ANDed with one sieve, fitted to cold case_i_search timings
+# at bounds 360 to 10^4 (p = 3 to 101): a pair left to the exact test costs
+# PAIR_STEPS, and building the sieve of a prime q costs BUILD_STEPS * q.
+PAIR_STEPS, BUILD_STEPS = 20, 70
+
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -92,9 +105,21 @@ def _check_search(p, bound):
     check_odd_prime(p)
 
 
-def _auxiliary_primes(p, bound):
-    """The first four primes q = 1 (mod p) with q <= 2*bound + 1."""
-    return list(islice(filter(is_prime, range(2 * p + 1, 2 * bound + 2, 2 * p)), 4))
+def _auxiliary_primes(p, bound, windows):
+    """The primes q = 1 (mod p) with q <= 2*bound + 1 that the search sieves
+    by, ascending: the first four, then each next q for as long as the
+    pairs that the sieves so far leave to the exact test cost more than the
+    sieve of q (PAIR_STEPS, BUILD_STEPS).  The pairs left are estimated as
+    those of the windows (`_windows`), times the share (p-1)(p-2)/p^2 that
+    the filter keeps, times the share _passing(p, q)/q^2 of each sieve."""
+    xs, qs = len(windows), []
+    left, scale = sum(map(int.bit_length, windows)) * (p - 1) * (p - 2), p * p  # left / scale pairs
+    for q in filter(is_prime, range(2 * p + 1, 2 * bound + 2, 2 * p)):
+        if len(qs) >= 4 and left * PAIR_STEPS <= scale * (xs + BUILD_STEPS * q):
+            break
+        qs.append(q)
+        left, scale = left * _passing(p, q), scale * q * q
+    return qs
 
 
 @functools.cache
@@ -104,11 +129,18 @@ def _residue_patterns(p, q):
     mod q, 0 included, where bit r of bits is set when a + r^p mod q is
     again such a residue, so a pair with x^p = a (mod q) can only be a
     solution when y mod q is a set bit."""
-    powers = [pow(r, p, q) for r in range(q)]
+    powers = list(map(pow, range(q), repeat(p), repeat(q)))
     classes = {}
     for r, c in enumerate(powers):
         classes[c] = classes.get(c, 0) | 1 << r
     return powers, {a: sum(bits for c, bits in classes.items() if (a + c) % q in classes) for a in classes}
+
+
+def _passing(p, q):
+    """How many of the q^2 residue pairs (x, y) mod q the sieve of q keeps:
+    the class 0 of x^p holds one residue x, and every other class p."""
+    patterns = _residue_patterns(p, q)[1]
+    return p * sum(map(int.bit_count, patterns.values())) - (p - 1) * patterns[0].bit_count()
 
 
 def _periodic(bits, period, length):
@@ -144,28 +176,52 @@ def _powers(p, bound):
         return x0, []
     limit = 2 * bound**p
     top_z = _least(lambda z: z**p > limit, bound + 1, 2 * bound)
-    return x0, [v**p for v in range(x0, top_z + 1)]
+    return x0, list(map(pow, range(x0, top_z + 1), repeat(p)))
+
+
+def _windows(x0, pth, bound):
+    """For x = x0..bound, the mask (1 << top(x) - x + 1) - 1 of the y in
+    x..top(x), bit i for y = x + i, where top(x) is the largest y <= bound
+    with (y+1)^p - y^p <= x^p.  That step grows with y and x^p with x, so
+    top(x) is one pointer walk over the steps."""
+    n = bound - x0 + 1
+    steps = list(map(sub, pth[1 : n + 1], pth[:n]))  # steps[i]: y = x0 + i
+    windows, top = [], 0  # top: the steps at most x^p, top(x) - x0 + 1
+    for i, xp in enumerate(pth[:n]):
+        while top < n and steps[top] <= xp:
+            top += 1
+        windows.append((1 << top - i) - 1)
+    return windows
 
 
 class _Table(NamedTuple):
-    """What a search derives from (p, bound) alone: `_powers`, the mask of
-    the y prime to p over bound + 1 + p bits, and for each auxiliary prime
-    q the list by_residue of the y mask by x mod q, as (q, by_residue):
-    by_residue[r] is the period-q pattern of the class of r^p mod q expanded
-    to bound + 1 bits, one int per class shared by the slots of its r."""
+    """What a search derives from (p, bound) alone:
+
+    - x0 and pth, from `_powers`;
+    - coprime, the mask of the y prime to p over bound + 1 + p bits;
+    - sieves, (q, by_residue) for each auxiliary prime q: by_residue[r] is
+      the y mask of an x = r (mod q), the period-q pattern of the class of
+      r^p mod q expanded to bound + 1 bits, one int per class shared by
+      the slots of its r;
+    - filters, where filters[r] is the y mask of an x = r (mod p) under the
+      filter, the y prime to p with p not dividing r + y; filters[0] is 0,
+      as no x = 0 (mod p) is searched;
+    - windows, from `_windows`."""
 
     x0: int
     pth: list
     coprime: int
     sieves: list
+    filters: list
+    windows: list
 
     def bits(self):
         """An upper bound on the bits the table holds: each distinct mask
         once, q.bit_length() bits per by_residue slot (enough to name its
-        class), and the powers; like the masks and powers, the slots are
-        counted without the interpreter's per-object overhead.  pth is not
-        empty."""
-        masks = self.coprime.bit_length()
+        class), each filter and window, and the powers; like the masks and
+        powers, the slots are counted without the interpreter's per-object
+        overhead.  pth is not empty."""
+        masks = self.coprime.bit_length() + sum(map(int.bit_length, self.filters + self.windows))
         for q, by_residue in self.sieves:
             masks += sum({id(m): m.bit_length() for m in by_residue}.values()) + q * q.bit_length()
         return masks + len(self.pth) * self.pth[-1].bit_length()
@@ -173,13 +229,15 @@ class _Table(NamedTuple):
 
 def _table(p, bound):
     x0, pth = _powers(p, bound)
+    windows = _windows(x0, pth, bound)
     coprime = _periodic((1 << p) - 2, p, bound + 1 + p)
     sieves = []
-    for q in _auxiliary_primes(p, bound):
+    for q in _auxiliary_primes(p, bound, windows):
         powers, patterns = _residue_patterns(p, q)
         expanded = {a: _periodic(bits, q, bound + 1) for a, bits in patterns.items()}
-        sieves.append((q, [expanded[c] for c in powers]))
-    return _Table(x0, pth, coprime, sieves)
+        sieves.append((q, list(map(expanded.__getitem__, powers))))
+    filters = [0, *(coprime & coprime >> r for r in range(1, p))]
+    return _Table(x0, pth, coprime, sieves, filters, windows)
 
 
 class _Tables:
@@ -220,25 +278,21 @@ def _sieve(p, bound, use_filter, start, hi, table):
     ys lists ascending the y in x..bound that pass every sieve: y prime to
     p, p not dividing x + y with the filter, x^p + y^p a p-th-power residue
     or 0 mod each auxiliary prime, and y <= top(x).  table is
-    `_table(p, bound)` and start >= table.x0."""
-    x0, pth, coprime, sieves = table
-    top = start - 1
-    for x in range(start, hi + 1):
-        r = x % p
-        if r == 0:
-            continue
-        xp = pth[x - x0]
-        while top < bound and pth[top + 2 - x0] - pth[top + 1 - x0] <= xp:
-            top += 1
-        mask = (coprime & (coprime >> r) if use_filter else coprime) & (1 << top + 1) - (1 << x)
-        for q, by_residue in sieves:
-            mask &= by_residue[x % q]
+    `_table(p, bound)` and start >= table.x0.  The masks of x run through
+    the table's lists in step with x, all in maps."""
+    x0, _, coprime, sieves, filters, windows = table
+    xs = range(start, hi + 1)
+    keep = filters if use_filter else [0, *repeat(coprime, p - 1)]
+    masks = islice(cycle(keep), start % p, None)
+    for q, by_residue in sieves:
+        masks = map(and_, masks, islice(cycle(by_residue), start % q, None))
+    for x, mask in zip(xs, map(and_, map(rshift, masks, xs), islice(windows, start - x0, None))):
         if mask:
-            bits = format(mask >> x, "b")[::-1]  # bits[i]: y = x + i
-            ys, i = [], bits.find("1")
-            while i >= 0:
-                ys.append(x + i)
-                i = bits.find("1", i + 1)
+            ys = []
+            while mask:  # bit i of mask: y = x + i
+                low = mask & -mask
+                ys.append(x + low.bit_length() - 1)
+                mask ^= low
             yield x, ys
 
 

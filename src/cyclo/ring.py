@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
-from .ntheory import check_odd_prime, factorize, is_prime, moebius, totient
+from .ntheory import check_odd_prime, divisors, factorize, is_prime, moebius, totient
 from .polys import Poly, _product_form, _scalar, _times_binomials, check_conductor, cyclotomic_poly
 from .polys import format_scalar, parse_scalar
 from .polys import resultant, resultant_cofactor
@@ -115,7 +115,8 @@ def _ramanujan_sums(n):
     """Tr(zeta^i) for i = 0 .. phi(n)-1: the Ramanujan sums c_n(i), by von
     Sterneck's formula c_n(i) = moebius(n/g) * phi(n) / phi(n/g), g = gcd(i, n)."""
     d = totient(n)
-    return tuple(moebius(n // g) * (d // totient(n // g)) for g in (math.gcd(i, n) for i in range(d)))
+    by_gcd = {g: moebius(n // g) * (d // totient(n // g)) for g in divisors(n)}
+    return tuple(by_gcd[math.gcd(i, n)] for i in range(d))
 
 
 def _theta_form(c):

@@ -9,9 +9,10 @@ Euclidean inverse over Q, the inverse by a sequential cofactor product
 over the Galois conjugates and by doubling chains over the Galois orbits,
 roots of unity by a power per divisor of 2n, the Case I search by a
 binary-search p-th root per pair and by a z-pointer over every pair, its
-sieve by a mask looked up by x^p mod q for each x and its pruned count x
-by x, and Bernoulli numbers by the defining recurrence over Fractions.  They are
-deliberately slow and simple.
+sieve by a mask looked up by x^p mod q for each x, its size cut by a
+pointer walked per chunk and its pruned count x by x, and Bernoulli
+numbers by the defining recurrence over Fractions.  They are deliberately
+slow and simple.
 """
 
 import functools
@@ -465,18 +466,27 @@ def power_keyed_sieves(p, bound, qs):
     return out
 
 
-def power_lookup_sieve(p, bound, use_filter, start, hi, x0, pth, coprime, sieves):
-    """The Case I sieve of `fermat._sieve`, each x looking its masks up in
-    sieves (`power_keyed_sieves`) by pow(x, p, q), and formatting and
-    scanning its mask whether or not any bit is left.  x0, pth and coprime
-    are those of `fermat._table(p, bound)`."""
-    top = start - 1
+def walked_tops(start, hi, x0, pth, bound):
+    """top(x) for x in start..hi (x0 <= start), the largest y <= bound with
+    (y+1)^p - y^p <= x^p, by a pointer walked from start - 1 for the chunk.
+    x0 and pth are those of `fermat._powers(p, bound)`."""
+    tops, top = [], start - 1
     for x in range(start, hi + 1):
-        if x % p == 0:
-            continue
         xp = pth[x - x0]
         while top < bound and pth[top + 2 - x0] - pth[top + 1 - x0] <= xp:
             top += 1
+        tops.append(top)
+    return tops
+
+
+def power_lookup_sieve(p, bound, use_filter, start, hi, x0, pth, coprime, sieves):
+    """The Case I sieve of `fermat._sieve`, each x looking its masks up in
+    sieves (`power_keyed_sieves`) by pow(x, p, q), cutting y at its
+    `walked_tops`, and formatting and scanning its mask whether or not any
+    bit is left.  x0, pth and coprime are those of `fermat._table(p, bound)`."""
+    for x, top in zip(range(start, hi + 1), walked_tops(start, hi, x0, pth, bound)):
+        if x % p == 0:
+            continue
         mask = coprime & (coprime >> x % p) if use_filter else coprime
         for q, masks in sieves:
             mask &= masks[pow(x, p, q)]

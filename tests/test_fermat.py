@@ -21,6 +21,7 @@ from oracles import (
     pointer_walk_case_i_search,
     power_keyed_sieves,
     power_lookup_sieve,
+    walked_tops,
 )
 
 
@@ -166,8 +167,13 @@ def test_search_size_checked_before_work():
 
 
 def _aux_primes_brute(p, bound):
-    qs = [q for q in range(3, 2 * bound + 2) if q % p == 1 and all(q % d for d in range(2, q))]
-    return qs[:4]
+    """Every prime q = 1 (mod p) with q <= 2*bound + 1, by trial division."""
+    return [q for q in range(3, 2 * bound + 2) if q % p == 1 and all(q % d for d in range(2, math.isqrt(q) + 1))]
+
+
+def _auxiliary_primes(p, bound):
+    """The auxiliary primes of the (p, bound) search."""
+    return fermat._auxiliary_primes(p, bound, fermat._windows(*fermat._powers(p, bound), bound))
 
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -175,9 +181,9 @@ SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_residue_patterns_match_brute_force(p):
-    # the first four auxiliary primes at the bound cap, class by class
-    qs = fermat._auxiliary_primes(p, MAX_BOUND)
-    assert qs == _aux_primes_brute(p, 40 * p)
+    # the auxiliary primes at the bound cap, class by class
+    qs = _auxiliary_primes(p, MAX_BOUND)
+    assert len(qs) >= 4 and qs == _aux_primes_brute(p, 40 * p)[: len(qs)]
     for q in qs:
         residues = {pow(r, p, q) for r in range(q)}
         powers, patterns = fermat._residue_patterns(p, q)
@@ -195,18 +201,35 @@ def test_residue_patterns_match_brute_force(p):
 
 
 def test_auxiliary_primes_stay_below_twice_the_bound():
-    assert fermat._auxiliary_primes(5, 360) == [11, 31, 41, 61]
-    assert fermat._auxiliary_primes(101, 302) == []  # 607 = 6 * 101 + 1 is the first
-    assert fermat._auxiliary_primes(101, 303) == [607]
-    assert fermat._auxiliary_primes(3571, MAX_BOUND) == []  # 7143 and 14285 are composite
+    assert _auxiliary_primes(5, 360) == [11, 31, 41, 61]
+    assert _auxiliary_primes(101, 302) == []  # 607 = 6 * 101 + 1 is the first
+    assert _auxiliary_primes(101, 303) == [607]
+    assert _auxiliary_primes(3571, MAX_BOUND) == []  # 7143 and 14285 are composite
     for p in SMALL_PRIMES:
         for bound in (0, 1, 5, 17, 60):
-            assert fermat._auxiliary_primes(p, bound) == _aux_primes_brute(p, bound)
+            assert _auxiliary_primes(p, bound) == _aux_primes_brute(p, bound)[:4]
+
+
+def test_auxiliary_primes_are_a_prefix_of_every_candidate():
+    # the fitted rule takes at least the first four primes, in order, and
+    # never skips one
+    for p in SMALL_PRIMES + [37, 101]:
+        for bound in (0, 1, 5, 17, 60, 150, 360, 1000, 3000, MAX_BOUND):
+            qs, every = _auxiliary_primes(p, bound), _aux_primes_brute(p, bound)
+            assert qs == every[: len(qs)] and len(qs) >= min(4, len(every)), (p, bound)
+
+
+def test_auxiliary_prime_counts_of_the_fit():
+    # four at bound 360 for the benchmark's primes, more in the larger
+    # boxes of small p, where the pairs left dominate, and four for 37 at
+    # the cap, where its next prime, 1481, costs more than it saves
+    assert [len(_auxiliary_primes(p, 360)) for p in (5, 7, 11, 13)] == [4, 4, 4, 4]
+    assert [len(_auxiliary_primes(p, MAX_BOUND)) for p in (3, 5, 7, 37)] == [10, 7, 7, 4]
 
 
 def _brute_survivors(p, bound, use_filter, lo, hi):
     """{x: ys} of every pair in the box that each sieve keeps, pair by pair."""
-    qs = _aux_primes_brute(p, bound)
+    qs = _auxiliary_primes(p, bound)
     residues = {q: {pow(r, p, q) for r in range(q)} for q in qs}
     out = {}
     for x in range(max(lo, 1), min(hi, bound) + 1):
@@ -262,7 +285,7 @@ def test_residue_lists_match_power_lookup(p):
     for bound in (40, 360, 1000):
         table = fermat._table(p, bound)
         sieves = power_keyed_sieves(p, bound, [q for q, _ in table.sieves])
-        assert len(sieves) == len(table.sieves) == len(fermat._auxiliary_primes(p, bound))
+        assert len(sieves) == len(table.sieves) == len(_auxiliary_primes(p, bound))
         for (q, by_residue), (_, masks) in zip(table.sieves, sieves):
             assert len(by_residue) == q
             for x in range(3 * q + 1):
@@ -274,6 +297,50 @@ def test_residue_lists_match_power_lookup(p):
             held = sum(m.bit_length() for masks in distinct for m in masks)
             held += table.coprime.bit_length() + sum(v.bit_length() for v in table.pth)
             assert table.bits() >= held
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES + [101])
+def test_stored_cut_matches_its_definition(p):
+    # top(x) read off each stored window: the largest y <= bound with
+    # (y+1)^p - y^p <= x^p, and what a chunk's own walk from its start gave
+    for bound in (0, 1, 5, 40, 360, MAX_BOUND):
+        table = fermat._table(p, bound)
+        x0, xs = table.x0, range(table.x0, bound + 1)
+        assert len(table.windows) == len(xs)
+        tops = [x + w.bit_length() - 1 for x, w in zip(xs, table.windows)]
+        for x, w, top in zip(xs, table.windows, tops):
+            assert w == (1 << top - x + 1) - 1 and x <= top <= bound, (p, bound, x)
+            assert (top + 1) ** p - top**p <= x**p, (p, bound, x)
+            assert top == bound or (top + 2) ** p - (top + 1) ** p > x**p, (p, bound, x)
+        for start in xs[:: max(1, len(xs) // 3)]:
+            assert tops[start - x0 :] == walked_tops(start, bound, x0, table.pth, bound), (p, bound, start)
+
+
+def test_chunks_far_above_the_first_x_match_the_whole_search(monkeypatch):
+    # each chunk reads its cut from the table, where it used to walk the
+    # pointer up from its own start
+    monkeypatch.setattr(fermat, "_TABLES", fermat._Tables())
+    for p, bound in [(3, 150), (5, 360), (7, 360), (13, 360), (37, 1000), (101, 400)]:
+        x0 = fermat._powers(p, bound)[0]
+        cuts = [x0 + (bound - x0) * k // 6 for k in range(1, 6)]
+        chunks = [(1, x0), *zip([x0 + 1, *(c + 1 for c in cuts)], [*cuts, bound])]
+        chunks += [(bound - 1, bound - 1), (bound, bound + 4)]
+        for use_filter in (True, False):
+            reports = [case_i_search(p, bound, use_filter, xr) for xr in chunks]
+            assert merge_reports(reports[:-2]) == case_i_search(p, bound, use_filter), (p, bound)
+            for xr, report in zip(chunks[3:], reports[3:]):
+                assert report == pointer_walk_case_i_search(p, bound, use_filter, xr), (p, bound, xr)
+
+
+def test_table_bits_bound_every_field():
+    # every int a table holds, each object once, against bits(); a field
+    # added to _Table fails the first assert until bits() and this count it
+    for p, bound in [(3, 40), (5, 360), (13, 1000), (101, 400), (3571, 5200)]:
+        table = fermat._table(p, bound)
+        assert table._fields == ("x0", "pth", "coprime", "sieves", "filters", "windows")
+        held = [table.x0, *table.pth, table.coprime, *table.filters, *table.windows]
+        held += [v for q, by_residue in table.sieves for v in (q, *by_residue)]
+        assert table.bits() >= sum(v.bit_length() for v in {id(v): v for v in held}.values()), (p, bound)
 
 
 def _pruned_ranges(rng, p, bound):
@@ -312,7 +379,7 @@ def test_size_cut_drops_only_pairs_too_far_apart():
                     # dropped by a residue sieve, never by the cut
                     assert any(
                         (x**p + y**p) % q not in {pow(r, p, q) for r in range(q)}
-                        for q in fermat._auxiliary_primes(p, bound)
+                        for q in _auxiliary_primes(p, bound)
                     ), (p, x, y)
         for x, ys in kept.items():
             assert all((y + 1) ** p - y**p <= x**p for y in ys)
