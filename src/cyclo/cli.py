@@ -2,18 +2,14 @@
 
 Every subcommand takes `--json` (exactly one machine-readable JSON object
 on stdout) and `--quiet` (essential output only).  Exit codes: 0 success,
-1 usage error, 2 domain error (bad but well-formed input, e.g. an
-irregular prime in the case1 pipeline, a conductor above MAX_CONDUCTOR, a
-bound above MAX_BOUND, a Bernoulli index above MAX_INDEX, a `disc` field
-degree above MAX_DISC_PHI, an `elt inv` whose resultant and output work
-exceed MAX_INVERSE_WORK, a norm, unit test or unit decomposition whose
-estimate for the route it takes (evaluation or resultant) exceeds
-MAX_NORM_WORK, both checked before any resultant, evaluation or product, an
-`elt mul` whose product exceeds MAX_MUL_WORK, or a `factor` whose factors
-and verifying product exceed MAX_FACTOR_WORK, each checked before the work
-it bounds), 3
-internal invariant violation (a verified postcondition failed; never
-caused by user input).
+1 usage error, 2 domain error (bad but well-formed input, e.g. an irregular
+prime in the case1 pipeline, or an input past a limit: MAX_CONDUCTOR,
+MAX_BOUND, MAX_INDEX, MAX_DISC_PHI, or a work estimate above MAX_INVERSE_WORK,
+MAX_NORM_WORK (for the route the norm takes), MAX_MUL_WORK or
+MAX_FACTOR_WORK, each checked before the work it bounds; `factor` checks its
+own limit, then the norm's for N(x + zeta y)), 3 internal invariant violation
+(a verified postcondition failed, such as a `factor` coordinate off its closed
+form; never caused by user input).
 
 Rationals never appear as floats: scalar values serialize as strings like
 `-691/2730`, elements as `n:[c0,c1,...]`, polynomials as `[c0,c1,...]`.
@@ -25,14 +21,14 @@ import argparse
 import json
 import math
 import sys
-from functools import cache, reduce
+from functools import cache
 
 from .regularity import MAX_INDEX, bernoulli, irregular_pairs, is_regular_prime
 from .errors import InternalInvariantError
 from .fermat import case_i_search, check_regular_and_search
 from .ntheory import is_prime, totient
 from .polys import cyclotomic_poly, discr_prime_pow, discriminant, format_scalar, poly_to_str
-from .ring import CycElt, decompose_unit, factor_sum_pth_powers, parse_literal
+from .ring import CycElt, _check_factor_work, decompose_unit, factor_sum_pth_powers, parse_literal
 
 __all__ = ["main", "run", "to_json"]
 
@@ -196,20 +192,25 @@ def _cmd_unit_decompose(args):
 
 
 def _cmd_factor(args):
-    factors = factor_sum_pth_powers(args.x, args.y, args.p)
-    product = reduce(lambda u, v: u * v, factors)
-    expected = args.x**args.p + args.y**args.p
-    if product.as_scalar() != expected:
-        raise InternalInvariantError("factor product does not equal x^p + y^p")
-    lines = [str(f) for f in factors]
-    summary = f"product={expected} ok"
-    lines.append(summary)
-    result = {
-        "factors": [str(f) for f in factors],
-        "product": str(expected),
-        "product_ok": True,
-    }
-    return {"p": args.p, "x": args.x, "y": args.y}, result, lines, summary
+    """The factors of x^p + y^p, checked with no product of them: each against
+    its closed form, then (x + y) * N(x + zeta y), as factors 1 .. p-1 are the
+    conjugates of x + zeta y.  Both limits are checked before any factor."""
+    p, x, y = args.p, args.x, args.y
+    norm = CycElt(_check_factor_work(x, y, p), (x, y)).norm()
+    factors = factor_sum_pth_powers(x, y, p)
+    if len(factors) != p:
+        raise InternalInvariantError(f"{len(factors)} factors, not {p}")
+    zeros = (0,) * (p - 2)
+    ends = {0: (x + y, *zeros), p - 1: (x - y, *(-y,) * (p - 2))}  # zeta^(p-1) = -1 - ... - zeta^(p-2)
+    for i, f in enumerate(factors):
+        if f.coeffs != (ends.get(i) or (x, *zeros[: i - 1], y, *zeros[i:])):
+            raise InternalInvariantError(f"factor {i} is not x + zeta^{i} y")
+    value = x**p + y**p
+    if (x + y) * norm != value:
+        raise InternalInvariantError("(x + y) * N(x + zeta y) is not x^p + y^p")
+    strs, digits = [str(f) for f in factors], str(value)
+    result = {"factors": strs, "product": digits, "product_ok": True}
+    return {"p": p, "x": x, "y": y}, result, [*strs, f"product={digits} ok"], f"product={digits} ok"
 
 
 def _cmd_case1(args):

@@ -719,31 +719,30 @@ def decompose_unit(u: CycElt) -> UnitDecomposition:
     return UnitDecomposition(x=x, m=m)
 
 
-# Largest work estimate that `factor_sum_pth_powers` (so `cyclo factor`)
-# accepts.  On a 2-vCPU Xeon VM with Python 3.11, `cyclo factor p x x` with
-# x = 0 or x of 1 to 14284 bits (the CLI's 4300 digits) and p from 23 to 1847
-# took 8-34 s per billion of it.  Just inside the limit the slowest, p = 83
-# with 2048-bit x, took 5.7 s, and x = 1 at p = 1213 took 3.0 s.  Refused
-# now: `factor 1601 1 1` (4.8 s and 46 MB without the limit), `factor 53 x x`
-# with 4000-digit x (27 s) and `factor 99991 1 1` (tens of GB).
-MAX_FACTOR_WORK = 200_000_000
+# Largest `_check_factor_work` estimate that `factor_sum_pth_powers` (so
+# `cyclo factor`) accepts.  On a 2-vCPU Xeon VM with Python 3.11 a coordinate
+# took 0.35-0.5 us (64 units) to build, check and print, and x^p + y^p 6.6 ns
+# per square word (1 unit) to print.  Just inside the limit `factor 2791 1 1`
+# took 2.0-3.0 s (91 MB), p = 97 with a 4300-digit x and y = 0 2.8 s, and the
+# slowest shape found, 732-bit x and 40-bit y at 1601, 4.2-4.7 s (1.9 s norm).
+MAX_FACTOR_WORK = 500_000_000
+
+
+def _check_factor_work(x, y, p):
+    """p, if it is an odd prime and `cyclo factor p x y` fits MAX_FACTOR_WORK."""
+    check_odd_prime(check_conductor(p))
+    bits = max(abs(c.numerator).bit_length() + c.denominator.bit_length() - 1 for c in (x, y))
+    if p * (p - 1) * 64 + (1 + p * bits // 64) ** 2 > MAX_FACTOR_WORK:
+        raise ValueError(f"factor work estimate exceeds {MAX_FACTOR_WORK}")
+    return p
 
 
 def factor_sum_pth_powers(x: int, y: int, p: int) -> list[CycElt]:
     """The p factors (x + zeta^i * y), i = 0..p-1, whose product is the
     scalar x^p + y^p in Q(zeta_p).  Each factor is one reduction of the
-    coordinates of x + y * X^i, written into a single list.
-
-    Refused with ValueError before any factor is built when the estimate
-    exceeds MAX_FACTOR_WORK.  It counts the p * (p - 1) coordinates: building
-    and printing one costs about 96 word operations, and folding the factors
-    back to x^p + y^p multiplies it once by a coordinate of the running
-    product, of up to p * bits bits for x and y of at most bits bits.  Under
-    Karatsuba a product of W by w words costs about W * sqrt(w)."""
-    check_odd_prime(check_conductor(p))
-    bits = max(abs(c.numerator).bit_length() + c.denominator.bit_length() - 1 for c in (x, y))
-    if p * (p - 1) * (96 + (1 + p * bits // 64) * math.isqrt(4 + bits // 16)) > MAX_FACTOR_WORK:
-        raise ValueError(f"factor work estimate exceeds {MAX_FACTOR_WORK}")
+    coordinates of x + y * X^i, written into a single list; refused by
+    `_check_factor_work` before any is built."""
+    _check_factor_work(x, y, p)
     den = math.lcm(x.denominator, y.denominator)
     x, y = x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
     raw = [x] + [0] * (p - 1)

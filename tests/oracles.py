@@ -1,18 +1,19 @@
 """Independent reference implementations used to derive expected values.
 
-Each oracle takes a different route than the library: brute-force counts,
-the Moebius product over sparse binomials, polynomial long division over
-Q, Phi_n by recursive exact division, the reduction modulo Phi_n by
-folding and dividing, Sylvester determinants via Bareiss elimination,
-Galois-conjugate folding, multiplication-matrix traces, the extended
-Euclidean inverse over Q, the inverse by a sequential cofactor product
-over the Galois conjugates and by doubling chains over the Galois orbits,
-roots of unity by a power per divisor of 2n, the Case I search by a
+Each oracle takes a different route than the library: brute-force
+counts, the Moebius product over sparse binomials, polynomial long
+division over Q, Phi_n by recursive exact division, the reduction modulo
+Phi_n by folding and dividing, Sylvester determinants via Bareiss
+elimination, Galois-conjugate folding, the factors of x^p + y^p folded
+back together, multiplication-matrix traces, the extended Euclidean
+inverse over Q, the inverse by a sequential cofactor product over the
+Galois conjugates and by doubling chains over the Galois orbits, roots
+of unity by a power per divisor of 2n, the Case I search by a
 binary-search p-th root per pair and by a z-pointer over every pair, its
 sieve by a mask looked up by x^p mod q for each x, its size cut by a
 pointer walked per chunk and its pruned count x by x, and Bernoulli
-numbers by the defining recurrence over Fractions.  They are deliberately
-slow and simple.
+numbers by the defining recurrence over Fractions.  They are
+deliberately slow and simple.
 """
 
 import functools
@@ -231,6 +232,12 @@ def conjugate_product_norm(a):
     """Product of all Galois conjugates, folded in the ring."""
     conjs = [a.galois(k) for k in range(1, a.n + 1) if math.gcd(k, a.n) == 1]
     return reduce(lambda u, v: u * v, conjs).as_scalar()
+
+
+def folded_product(factors):
+    """The product of the factors by a left fold in the ring: how `cyclo
+    factor` once checked that its factors multiply to x^p + y^p."""
+    return reduce(lambda u, v: u * v, factors)
 
 
 def mult_matrix_trace(a):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,8 +17,9 @@ import cyclo.cli as cli
 from cyclo import ring
 from cyclo.cli import run, to_json
 from cyclo.errors import InternalInvariantError
-from cyclo.ring import CycElt, zeta_pow
-from oracles import cleared
+from cyclo.ntheory import is_prime
+from cyclo.ring import CycElt, factor_sum_pth_powers, zeta_pow
+from oracles import cleared, folded_product
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -172,10 +174,12 @@ def test_usage_errors_exit_1(capsys, argv):
         # dense at 2003: 1.4 times the limit on the evaluation route (the
         # same literal at 1009, refused on the resultant route, is now served)
         (["elt", "norm", "2003:[" + ",".join(["3", "-7"] * 1001) + "]"], "norm work estimate exceeds"),
-        (["factor", "99991", "1", "1"], "factor work estimate exceeds 200000000"),
-        (["factor", "101", "9" * 4000, "1"], "factor work estimate exceeds 200000000"),
+        (["factor", "99991", "1", "1"], "factor work estimate exceeds 500000000"),
+        (["factor", "109", "9" * 4000, "0"], "factor work estimate exceeds 500000000"),
         (["elt", "mul", "99991:[" + ",".join(["9"] * 9000) + "]", "99991:[" + "-8," * 9000 + "1]"],
          "mul work estimate exceeds 600000000"),
+        # fits ring.MAX_FACTOR_WORK; N(x + zeta) exceeds ring.MAX_NORM_WORK
+        (["factor", "97", "9" * 4000, "1"], "norm work estimate exceeds 600000000"),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv, fragment):
@@ -263,10 +267,14 @@ def test_monomials_invert_at_large_conductors(capsys, literal, want):
 @pytest.mark.parametrize(
     "argv",
     [
-        # just inside ring.MAX_FACTOR_WORK: the slowest measured shape
-        # (5.7 s), and the largest p with x = y = 1 (3.0 s)
-        ["factor", "83", str(2**2048 - 1), str(2**2048 - 1), "--quiet"],
-        ["factor", "1213", "1", "1", "--quiet"],
+        # just inside ring.MAX_FACTOR_WORK: the largest p with x = y = 1
+        # (2.0-3.0 s), the slowest shape found (4.2-4.7 s, 1.9 s of it the
+        # norm) and the largest p with a 4300-digit x (2.8 s); then 4000-digit
+        # x = y at 53, refused when a fold checked the factors (27 s), now 1.8 s
+        ["factor", "2791", "1", "1", "--quiet"],
+        ["factor", "1601", str(2**732 - 1), str(2**40 - 1), "--quiet"],
+        ["factor", "97", str(10**4299), "0", "--quiet"],
+        ["factor", "53", "9" * 4000, "9" * 4000, "--quiet"],
     ],
 )
 def test_factor_at_the_work_cap_ends_within_budget(capsys, argv):
@@ -275,6 +283,86 @@ def test_factor_at_the_work_cap_ends_within_budget(capsys, argv):
     assert time.monotonic() - start < 10
     out = capsys.readouterr().out
     assert out.startswith("product=") and out.endswith(" ok\n")
+
+
+def test_factor_refused_by_the_norm_before_any_factor(monkeypatch, capsys):
+    # 4000-digit x at 97 fits ring.MAX_FACTOR_WORK, but N(x + zeta) exceeds
+    # ring.MAX_NORM_WORK; `_reduce` also builds x + zeta, so the sentinel
+    # sits on the call that builds the factors
+    def no_factors(*args):
+        raise AssertionError("a factor was built before the norm's work check")
+
+    monkeypatch.setattr(cli, "factor_sum_pth_powers", no_factors)
+    start = time.monotonic()
+    assert run(["factor", "97", "9" * 4000, "1"]) == 2
+    assert time.monotonic() - start < 1
+    assert "norm work estimate exceeds 600000000" in capsys.readouterr().err
+
+
+FACTOR_PRIMES = [p for p in range(3, 48) if is_prime(p)]
+
+
+def _factor_pairs(p):
+    """Seeded (x, y): zeros, x = -y, signs, large values and p/q values."""
+    rng = random.Random(p)
+    pairs = [(0, 0), (0, 5), (-7, 0), (3, -3), (-4, 4), (-2, -9), (1, 1)]
+    pairs += [(rng.randint(-(10**30), 10**30), rng.randint(-(10**30), 10**30)) for _ in range(3)]
+    a, b, c = (Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(3))
+    return pairs + [(a, b), (c, rng.randint(-9, 9)), (Fraction(5, 3), Fraction(-5, 3))]
+
+
+@pytest.mark.parametrize("p", FACTOR_PRIMES)
+def test_factor_check_agrees_with_the_fold(monkeypatch, p):
+    # the closed-form and norm check accepts the library's factors, as the
+    # fold does, and with one coordinate changed both reject them (x + y != 0);
+    # p/q values reach the check through the library
+    rng = random.Random(-p)
+    for x, y in _factor_pairs(p):
+        args = argparse.Namespace(p=p, x=x, y=y)
+        factors = factor_sum_pth_powers(x, y, p)
+        _, result, _, _ = cli._cmd_factor(args)
+        assert result["factors"] == [str(f) for f in factors]
+        assert folded_product(factors) == x**p + y**p == Fraction(result["product"])
+        assert folded_product(factors[1:]) == CycElt(p, (x, y)).norm()
+        if x + y == 0:
+            continue  # factor 0 is zero, so the fold cannot see a change elsewhere
+        k, j = rng.randrange(p), rng.randrange(p - 1)
+        bad = list(factors)
+        bad[k] = bad[k] + zeta_pow(p, j)
+        monkeypatch.setattr(cli, "factor_sum_pth_powers", lambda *_: bad)
+        with pytest.raises(InternalInvariantError, match=f"factor {k} "):
+            cli._cmd_factor(args)
+        assert folded_product(bad) != x**p + y**p
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "k,fragment",
+    [(0, "factor 0 "), (3, "factor 3 "), (6, "factor 6 "), (None, "6 factors, not 7")],
+)
+def test_factor_with_a_wrong_coordinate_exits_3(monkeypatch, capsys, k, fragment):
+    def corrupted(x, y, p):
+        factors = factor_sum_pth_powers(x, y, p)
+        if k is None:
+            return factors[:-1]
+        coeffs = list(factors[k].coeffs)
+        coeffs[k % (p - 1)] += 1
+        return factors[:k] + [CycElt(p, coeffs)] + factors[k + 1 :]
+
+    monkeypatch.setattr(cli, "factor_sum_pth_powers", corrupted)
+    assert run(["factor", "7", "2", "-5"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err.startswith("internal error: ") and fragment in out.err
+
+
+def test_factor_with_a_broken_norm_identity_exits_3(monkeypatch, capsys):
+    norm = CycElt.norm
+    monkeypatch.setattr(CycElt, "norm", lambda self: norm(self) + 1)
+    assert run(["factor", "7", "2", "-5"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err == "internal error: (x + y) * N(x + zeta y) is not x^p + y^p\n"
 
 
 def test_norm_at_the_norm_cap_ends_within_budget(capsys):

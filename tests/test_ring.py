@@ -5,7 +5,6 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
@@ -27,6 +26,7 @@ from oracles import (
     divisor_scan_root_of_unity,
     euclid_inverse,
     fold_divide_reduce,
+    folded_product,
     mult_matrix_trace,
     orbit_chain_inverse,
     poly_divmod,
@@ -1099,16 +1099,14 @@ def test_decompose_unit_error_branches(monkeypatch):
 def test_factor_examples(x, y, p, expected):
     factors = factor_sum_pth_powers(x, y, p)
     assert len(factors) == p
-    prod = reduce(lambda u, v: u * v, factors)
-    assert prod.as_scalar() == expected == x**p + y**p
+    assert folded_product(factors) == expected == x**p + y**p
 
 
 def test_factor_identity_exhaustive():
     for p in (3, 5, 7, 11, 13):
         for x in range(-20, 21):
             for y in range(-20, 21):
-                prod = reduce(lambda u, v: u * v, factor_sum_pth_powers(x, y, p))
-                assert prod.as_scalar() == x**p + y**p
+                assert folded_product(factor_sum_pth_powers(x, y, p)) == x**p + y**p
 
 
 def test_factor_matches_ring_construction():
@@ -1134,9 +1132,9 @@ def test_factor_refuses_large_work_before_any_factor(monkeypatch):
 
     monkeypatch.setattr(ring, "_reduce", no_reduce)
     x = 10**4000 - 1
-    # 99991 factors of 99990 coordinates each; 53 and 101 with 4000-digit
-    # x took 27 s and over 60 s; 1217 is the least prime refused at x = y = 1
-    for args in [(1, 1, 99991), (1, 1, 1217), (x, x, 53), (x, 1, 101)]:
+    # 99991 factors of 99990 coordinates each; 2797 is the least prime
+    # refused at x = y = 1, and 109 the least with 4000-digit x
+    for args in [(1, 1, 99991), (1, 1, 2797), (x, x, 109), (x, 1, 109)]:
         start = time.monotonic()
         with pytest.raises(ValueError, match=f"factor work estimate exceeds {ring.MAX_FACTOR_WORK}"):
             factor_sum_pth_powers(*args)
