@@ -27,7 +27,7 @@ from .regularity import MAX_INDEX, bernoulli, irregular_pairs, is_regular_prime
 from .errors import InternalInvariantError
 from .fermat import case_i_search, check_regular_and_search
 from .ntheory import is_prime, totient
-from .polys import cyclotomic_poly, discr_prime_pow, discriminant, format_scalar, poly_to_str
+from .polys import cyclotomic_poly, discr_prime_pow, discriminant, poly_to_str
 from .ring import CycElt, _check_factor_work, decompose_unit, factor_sum_pth_powers, parse_literal
 
 __all__ = ["main", "run", "to_json"]
@@ -105,7 +105,7 @@ def _cmd_disc(args):
 
 
 def _cmd_bernoulli(args):
-    s = format_scalar(bernoulli(args.m))
+    s = str(bernoulli(args.m))
     return {"m": args.m}, {"value": s}, [f"B_{args.m} = {s}"], s
 
 
@@ -162,10 +162,10 @@ def _cmd_elt(args):
     elif op == "conj":
         value = a.conj()
     elif op == "norm":
-        s = format_scalar(a.norm())
+        s = str(a.norm())
         return inputs, {"value": s}, [s], s
     elif op == "trace":
-        s = format_scalar(a.trace())
+        s = str(a.trace())
         return inputs, {"value": s}, [s], s
     elif op == "is-real":
         flag = a.is_real()

@@ -152,30 +152,17 @@ def _periodic(bits, period, length):
     return bits
 
 
-def _least(holds, lo, hi):
-    """The least v in lo..hi with holds(v), else max(lo, hi + 1), by
-    bisection; holds must be monotone (false, then true)."""
-    hi += 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _powers(p, bound):
     """(x0, pth): x0 is the least x in 1..bound that the size cut admits,
     i.e. with (x+1)^p - x^p <= x^p (x0 > bound if there is none), and pth
     lists the p-th powers of x0..Z for the least Z with Z^p > 2*bound^p
     (Z > bound), or nothing when x0 > bound.  The cut is monotone in x, so
     a chunk lo..hi starts at max(lo, x0)."""
-    x0 = _least(lambda x: (x + 1) ** p <= 2 * x**p, 1, bound)
+    x0 = 1 + bisect_left(range(1, bound + 1), True, key=lambda x: (x + 1) ** p <= 2 * x**p)
     if x0 > bound:
         return x0, []
     limit = 2 * bound**p
-    top_z = _least(lambda z: z**p > limit, bound + 1, 2 * bound)
+    top_z = bound + 1 + bisect_left(range(bound + 1, 2 * bound + 1), True, key=lambda z: z**p > limit)
     return x0, list(map(pow, range(x0, top_z + 1), repeat(p)))
 
 
@@ -273,7 +260,7 @@ class _Tables:
 _TABLES = _Tables()
 
 
-def _sieve(p, bound, use_filter, start, hi, table):
+def _sieve(p, use_filter, start, hi, table):
     """(x, ys) for each x in start..hi prime to p that keeps some y, where
     ys lists ascending the y in x..bound that pass every sieve: y prime to
     p, p not dividing x + y with the filter, x^p + y^p a p-th-power residue
@@ -329,7 +316,7 @@ def case_i_search(p: int, bound: int, use_filter: bool = True, x_range=None) -> 
     if lo <= hi and (hi + 1) ** p <= 2 * hi**p:
         table = _TABLES.get(p, bound)
         x0, pth = table.x0, table.pth
-        for x, ys in _sieve(p, bound, use_filter, max(lo, x0), hi, table):
+        for x, ys in _sieve(p, use_filter, max(lo, x0), hi, table):
             xp, z = pth[x - x0], x + 1 - x0
             for y in ys:
                 s = xp + pth[y - x0]

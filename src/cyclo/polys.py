@@ -34,7 +34,6 @@ __all__ = [
     "cyclotomic_poly",
     "discr_prime_pow",
     "discriminant",
-    "format_scalar",
     "parse_scalar",
     "poly_from_str",
     "poly_to_str",
@@ -144,21 +143,25 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return Poly(out)
+        return Poly(_mul_lists(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def derivative(self):
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+
+def _mul_lists(a, b):
+    """The schoolbook product of coefficient lists a and b, len(a) + len(b) - 1
+    entries, by a loop over the nonzero entries of both: a sparse factor such
+    as a scalar or X^j costs len(a) * (its nonzero entries)."""
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in terms:
+                out[i + j] += ai * bj
+    return out
 
 
 # Largest accepted conductor.  Element arithmetic in Q(zeta_n) builds lists of
@@ -374,36 +377,36 @@ def discr_prime_pow(p: int, k: int) -> int:
     return sign * p ** (p ** (k - 1) * inner)
 
 
-def format_scalar(c) -> str:
-    """Canonical text for an exact scalar: `3`, `-3`, or `p/q`."""
-    c = _scalar(c)
-    if isinstance(c, int):
-        return str(c)
-    return f"{c.numerator}/{c.denominator}"
-
-
 _SCALAR_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
 
 
 def parse_scalar(text: str):
-    """Inverse of format_scalar; accepts integers and p/q fractions only."""
+    """An exact scalar from its `str` text: integers and p/q fractions only."""
     t = text.strip()
     if not _SCALAR_RE.fullmatch(t):
         raise ValueError(f"malformed scalar literal: {text!r}")
     return _scalar(Fraction(t))
 
 
+def _list_to_str(cs) -> str:
+    """The list text `[c0,c1,...]` of exact scalars."""
+    return "[" + ",".join(map(str, cs)) + "]"
+
+
+def _list_from_str(text: str, kind: str) -> list:
+    """The scalars of the list text `[c0,c1,...]`, else a `kind` literal error."""
+    t = text.strip()
+    if not (t.startswith("[") and t.endswith("]")):
+        raise ValueError(f"malformed {kind} literal: {text!r}")
+    body = t[1:-1].strip()
+    return [parse_scalar(tok) for tok in body.split(",")] if body else []
+
+
 def poly_to_str(f: Poly) -> str:
     """Coefficient-list text, low-to-high: X^2 - 1 prints as `[-1,0,1]`."""
-    return "[" + ",".join(format_scalar(c) for c in f.coeffs) + "]"
+    return _list_to_str(f.coeffs)
 
 
 def poly_from_str(text: str) -> Poly:
     """Parse the coefficient-list text format (inverse of poly_to_str)."""
-    t = text.strip()
-    if not (t.startswith("[") and t.endswith("]")):
-        raise ValueError(f"malformed polynomial literal: {text!r}")
-    body = t[1:-1].strip()
-    if not body:
-        return Poly()
-    return Poly([parse_scalar(tok) for tok in body.split(",")])
+    return Poly(_list_from_str(text, "polynomial"))

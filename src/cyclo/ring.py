@@ -52,9 +52,8 @@ from fractions import Fraction
 
 from .errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
 from .ntheory import check_odd_prime, divisors, factorize, is_prime, moebius, totient
-from .polys import Poly, _product_form, _scalar, _times_binomials, check_conductor, cyclotomic_poly
-from .polys import format_scalar, parse_scalar
-from .polys import resultant, resultant_cofactor
+from .polys import Poly, _list_from_str, _list_to_str, _mul_lists, _product_form, _scalar, _times_binomials
+from .polys import check_conductor, cyclotomic_poly, resultant, resultant_cofactor
 
 __all__ = [
     "MAX_FACTOR_WORK",
@@ -89,16 +88,16 @@ def _reduce(n, raw):
 
 
 def _mul_vecs(n, a, b):
-    """The reduced product of two integer coordinate vectors.  The loop runs
-    over the nonzero entries of both: a product with a sparse factor such
-    as a scalar or zeta^j costs d * (its nonzero entries)."""
-    terms = [(j, bj) for j, bj in enumerate(b) if bj]
-    prod = [0] * (2 * len(a) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in terms:
-                prod[i + j] += ai * bj
-    return _reduce(n, prod)
+    """The reduced product of two integer coordinate vectors."""
+    return _reduce(n, _mul_lists(a, b))
+
+
+def _over_lcm(cs):
+    """(nums, den): the exact scalars cs as ints nums over den, the lcm of
+    their denominators."""
+    cs = [_scalar(c) for c in cs]
+    den = math.lcm(*(c.denominator for c in cs))
+    return (cs if den == 1 else [c.numerator * (den // c.denominator) for c in cs]), den
 
 
 def _galois_vec(n, vec, k):
@@ -188,8 +187,8 @@ def _norm_work(n, d, a, real, squares, lag1):
     m, k = max(deg_f, deg_g), min(deg_f, deg_g)
     steps = 2 * (squares - lag1)  # |A * (1 - X)|_2^2
     size = d * min(squares, steps).bit_length() // 2
-    if k == 0:  # the resultant is a single power
-        return size
+    if k == 0:  # a single power, squared in words with its decimal form
+        return (1 + size // 64) ** 2
     lam = abs(lead).bit_length() - 1 if deg_g <= deg_f else 0
     w = 1 + (size + (m - k) * lam) // 64
     w1 = 1 + (m - k + 1) * lam // 64
@@ -395,9 +394,7 @@ class CycElt:
         check_conductor(n)
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        coeffs = [_scalar(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        nums = coeffs if den == 1 else [c.numerator * (den // c.denominator) for c in coeffs]
+        nums, den = _over_lcm(coeffs)
         self._store(n, _reduce(n, nums), den)
 
     def __setattr__(self, name, value):
@@ -420,7 +417,8 @@ class CycElt:
     @property
     def coeffs(self):
         """The phi(n) coordinates, each an int or a Fraction in lowest terms."""
-        return self._nums if self._den == 1 else tuple(_scalar(Fraction(c, self._den)) for c in self._nums)
+        den = self._den
+        return self._nums if den == 1 else tuple(c and _scalar(Fraction(c, den)) for c in self._nums)
 
     # -- constructors ------------------------------------------------------
 
@@ -444,7 +442,7 @@ class CycElt:
     # -- presentation ------------------------------------------------------
 
     def __str__(self):
-        return f"{self.n}:[{','.join(format_scalar(c) for c in self.coeffs)}]"
+        return f"{self.n}:{_list_to_str(self.coeffs)}"
 
     def __repr__(self):
         return f"CycElt.parse({str(self)!r})"
@@ -563,8 +561,9 @@ class CycElt:
         takes the route `_norm_route` estimates cheaper: the values of
         A * conj(A) at a root of Phi_n modulo a prime power
         (`_evaluated_norm`), or the resultant of `_resultant_pair`.  An
-        element whose estimate for that route exceeds MAX_NORM_WORK is
-        refused before either runs.
+        element whose estimate for that route, plus the square of the words
+        of m^phi(n) when m > 1, exceeds MAX_NORM_WORK is refused before
+        either runs.
 
         >>> CycElt.parse('7:[1,2]').norm() == 43
         True
@@ -575,6 +574,8 @@ class CycElt:
         d = len(ints)
         _, a, squares, lag1 = _window(ints)
         evaluate, work = _norm_route(n, d, a, squares, lag1)
+        if m > 1:  # m^d, the quotient's gcd and its decimal form
+            work += (1 + d * m.bit_length() // 64) ** 2
         if work > MAX_NORM_WORK:
             raise ValueError(f"norm work estimate exceeds {MAX_NORM_WORK}")
         if evaluate:
@@ -633,17 +634,11 @@ class CycElt:
 def parse_literal(text: str) -> tuple[int, list]:
     """Split the element literal `n:[c0,c1,...]` into the conductor and the
     coordinates.  Only the syntax is checked; CycElt(n, coeffs) checks n."""
+    head, _, body = text.partition(":")
     try:
-        head, _, body = text.partition(":")
-        n = int(head.strip())
-        body = body.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError
-        inner = body[1:-1].strip()
-        coeffs = [parse_scalar(tok) for tok in inner.split(",")] if inner else []
-    except (ValueError, ZeroDivisionError) as exc:
+        return int(head.strip()), _list_from_str(body, "element")
+    except ValueError as exc:
         raise ValueError(f"malformed element literal: {text!r}") from exc
-    return n, coeffs
 
 
 def zeta_pow(n: int, j: int) -> CycElt:
@@ -743,8 +738,7 @@ def factor_sum_pth_powers(x: int, y: int, p: int) -> list[CycElt]:
     coordinates of x + y * X^i, written into a single list; refused by
     `_check_factor_work` before any is built."""
     _check_factor_work(x, y, p)
-    den = math.lcm(x.denominator, y.denominator)
-    x, y = x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
+    (x, y), den = _over_lcm((x, y))
     raw = [x] + [0] * (p - 1)
     factors = []
     for i in range(p):

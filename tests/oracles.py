@@ -11,8 +11,9 @@ Galois conjugates and by doubling chains over the Galois orbits, roots
 of unity by a power per divisor of 2n, the Case I search by a
 binary-search p-th root per pair and by a z-pointer over every pair, its
 sieve by a mask looked up by x^p mod q for each x, its size cut by a
-pointer walked per chunk and its pruned count x by x, and Bernoulli
-numbers by the defining recurrence over Fractions.  They are
+pointer walked per chunk and its pruned count x by x, Bernoulli
+numbers by the defining recurrence over Fractions, and the text of a
+scalar by its type.  They are
 deliberately slow and simple.
 """
 
@@ -504,6 +505,18 @@ def power_lookup_sieve(p, bound, use_filter, start, hi, x0, pth, coprime, sieves
             i = bits.find("1", i + 1)
         if ys:
             yield x, ys
+
+
+# -- scalar text by type ----------------------------------------------------------
+
+
+def format_scalar(c):
+    """The text of an exact scalar, coordinate by coordinate: `3`, `-3`, or
+    `p/q` in lowest terms, by type."""
+    c = _scalar(c)
+    if isinstance(c, int):
+        return str(c)
+    return f"{c.numerator}/{c.denominator}"
 
 
 # -- Bernoulli numbers by the defining recurrence ----------------------------------

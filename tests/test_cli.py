@@ -18,8 +18,10 @@ from cyclo import ring
 from cyclo.cli import run, to_json
 from cyclo.errors import InternalInvariantError
 from cyclo.ntheory import is_prime
+from cyclo.polys import Poly, poly_to_str
+from cyclo.regularity import bernoulli
 from cyclo.ring import CycElt, factor_sum_pth_powers, zeta_pow
-from oracles import cleared, folded_product
+from oracles import cleared, folded_product, format_scalar
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -104,6 +106,44 @@ def test_element_literal_roundtrip_through_cli(capsys):
     assert second == "5:[1,1,0,0]"
 
 
+def _scalar_outputs(capsys, argv):
+    """The value that `argv` prints plainly, with --quiet and in --json."""
+    outs = []
+    for flags in ([], ["--quiet"], ["--json"]):
+        assert run(argv + flags) == 0
+        outs.append(capsys.readouterr().out)
+    return outs[0][:-1], outs[1][:-1], json.loads(outs[2])["result"]["value"]
+
+
+def test_scalar_text_matches_the_per_coordinate_formatter(capsys):
+    # str prints every scalar as the type-by-type formatter did: ints, zero,
+    # negatives, reducible p/q, 4000-digit values
+    rng = random.Random(18)
+    big = 10**3999 + 7
+    pool = ["0", "-0", "+5", "-7", "4/2", "-6/4", "3/9", "-22/7", str(big), f"-{big}", f"{big}/{3 * big}", f"-{big}/6"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # norms of 4000-digit coordinates
+    try:
+        for _ in range(40):
+            n = rng.choice((1, 2, 3, 4, 5, 7, 9, 12))
+            texts = [rng.choice(pool) if rng.random() < 0.6 else str(rng.randint(-20, 20)) for _ in range(n + 1)]
+            raw = [Fraction(t) for t in texts]
+            a = CycElt(n, raw)
+            den, ints = cleared(a)
+            assert str(a) == f"{n}:[" + ",".join(format_scalar(Fraction(c, den)) for c in ints) + "]"
+            while raw and not raw[-1]:
+                raw.pop()
+            assert poly_to_str(Poly(raw)) == "[" + ",".join(map(format_scalar, raw)) + "]"
+            literal = f"{n}:[" + ",".join(texts) + "]"
+            for op, value in (("norm", a.norm()), ("trace", a.trace())):
+                assert _scalar_outputs(capsys, ["elt", op, literal]) == (format_scalar(value),) * 3
+        for m in [0, 1, 2, 3, *rng.sample(range(4, 201), 12)]:
+            text = format_scalar(bernoulli(m))
+            assert _scalar_outputs(capsys, ["bernoulli", str(m)]) == (f"B_{m} = {text}", text, text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_quiet_mode_is_terse(capsys):
     run(["regular", "--upto", "10", "--quiet"])
     assert capsys.readouterr().out == "irregular: none\n"
@@ -130,6 +170,18 @@ def test_usage_errors_exit_1(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err != ""
+
+
+# N(A) a single power c^phi(n), or over a denominator m^phi(n), of megabits:
+# `1009:[<4300 nines>]` took about 2 s, `3001:[<4300 nines>]` and p/q
+# elements with a 4001-digit m did not finish in 20 s before it was counted
+_M = 10**4000 + 7
+LARGE_POWER_NORMS = [
+    "1009:[" + "9" * 4300 + "]",
+    "3001:[" + "9" * 4300 + "]",
+    f"1009:[1/{_M},1/{_M}]",
+    f"99991:[1/{_M},1/{_M}]",
+]
 
 
 @pytest.mark.parametrize(
@@ -180,13 +232,16 @@ def test_usage_errors_exit_1(capsys, argv):
          "mul work estimate exceeds 600000000"),
         # fits ring.MAX_FACTOR_WORK; N(x + zeta) exceeds ring.MAX_NORM_WORK
         (["factor", "97", "9" * 4000, "1"], "norm work estimate exceeds 600000000"),
+        *((["elt", "norm", literal], "norm work estimate exceeds 600000000") for literal in LARGE_POWER_NORMS),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv, fragment):
+    start = time.monotonic()
     assert run(argv) == 2
+    assert time.monotonic() - start < 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert fragment in out.err
+    assert out.err.startswith("error: ") and fragment in out.err
 
 
 def _seeded_literal(n, count, bound):

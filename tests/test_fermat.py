@@ -250,7 +250,7 @@ def _brute_survivors(p, bound, use_filter, lo, hi):
 def _survivors(p, bound, use_filter, lo, hi):
     lo, hi = max(lo, 1), min(hi, bound)
     table = fermat._table(p, bound)
-    return dict(fermat._sieve(p, bound, use_filter, max(lo, table.x0), hi, table))
+    return dict(fermat._sieve(p, use_filter, max(lo, table.x0), hi, table))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
@@ -275,7 +275,7 @@ def test_sieve_matches_power_lookup_sieve(p):
         for use_filter in (True, False):
             for lo, hi in [(1, bound), (7, min(30, bound)), (bound - 2, bound)]:
                 start = max(lo, table.x0)
-                got = list(fermat._sieve(p, bound, use_filter, start, hi, table))
+                got = list(fermat._sieve(p, use_filter, start, hi, table))
                 want = power_lookup_sieve(p, bound, use_filter, start, hi, *table[:3], sieves)
                 assert got == list(want), (p, bound, use_filter, lo, hi)
 

@@ -671,6 +671,33 @@ def test_norm_refuses_large_work_before_any_resultant(monkeypatch):
         decompose_unit(_binomial_unit(2003, 1000))
 
 
+def test_norm_charges_a_single_power_and_the_denominator(monkeypatch):
+    # c^phi(n) and m^phi(n) with their decimal forms cost the square of their
+    # words: 10^4299 at 1009 was estimated at 14.4M and took 1.9 s, and a
+    # 4001-digit m has 13.4 Mbit at 1009 and 1.33 Gbit at 99991
+    m = 10**4000 + 7
+    # just inside the limit at 1009; N(1 + zeta) = 1 for odd prime n
+    assert CycElt(1009, 10**466).norm() == 10 ** (466 * 1008)
+    assert CycElt(1009, [Fraction(1, 3)] * 2).norm() == Fraction(1, 3**1008)
+    big = [
+        CycElt(1009, 10**470),
+        CycElt(3001, 10**4300 - 1),
+        CycElt(1009, [Fraction(1, m)] * 2),
+        CycElt(99991, [Fraction(1, m)] * 2),
+    ]
+
+    def no_work(*args):
+        raise AssertionError("a resultant or an evaluation ran before the size check")
+
+    monkeypatch.setattr(ring, "resultant", no_work)
+    monkeypatch.setattr(ring, "_evaluated_norm", no_work)
+    for a in big:
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="norm work estimate exceeds 600000000"):
+            a.norm()
+        assert time.monotonic() - start < 1
+
+
 def test_norm_serves_by_evaluation_what_the_resultant_refused():
     # the dense element took 46 s by resultant, the block of d/8 16.8 s; both
     # were refused when the resultant was the only route
@@ -702,8 +729,9 @@ def test_norm_work_estimate_keeps_the_served_inputs_far_below_the_limit():
     run = CycElt(1409, [1] * 704)
     signs = CycElt(1409, [rng.choice((-1, 1)) for _ in range(704)])
     assert _norm_work_of(run) * 2 < ring.MAX_NORM_WORK < _norm_work_of(signs)
-    # a single coordinate takes one power, however long the conductor
-    assert _norm_work_of(CycElt(99991, [0, 2])) == 99990 * 3 // 2
+    # a single coordinate takes one power, however long the conductor,
+    # charged with its decimal form as the square of its words
+    assert _norm_work_of(CycElt(99991, [0, 2])) == (1 + 99990 * 3 // 2 // 64) ** 2
     for a in (CycElt(16007, [1, 2]), _binomial_unit(211, 30), run):
         assert _norm_work_of(a) <= ring.MAX_NORM_WORK
 
@@ -1163,7 +1191,10 @@ def test_literal_canonicalizes_long_input():
     assert str(e) == "5:[-1,-1,-1,-1]"
 
 
-@pytest.mark.parametrize("bad", ["5:", "5:[1,", "[1,2]", "x:[1]", "5:[1,0.5]", "5:[1/0]"])
+@pytest.mark.parametrize(
+    "bad",
+    ["5:", "5:[1,", "[1,2]", "x:[1]", "5:[1,0.5]", "5:[1/0]", "5:[1,,2]", "5:1,2]", "5:[1,2", "5:[,]", "5:[1 2]", "5:[[1]]"],
+)
 def test_literal_rejects_malformed(bad):
     with pytest.raises(ValueError, match="malformed element literal"):
         CycElt.parse(bad)
