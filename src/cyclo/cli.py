@@ -3,13 +3,14 @@
 Every subcommand takes `--json` (exactly one machine-readable JSON object
 on stdout) and `--quiet` (essential output only).  Exit codes: 0 success,
 1 usage error, 2 domain error (bad but well-formed input, e.g. an irregular
-prime in the case1 pipeline, or an input past a limit: MAX_CONDUCTOR,
-MAX_BOUND, MAX_INDEX, MAX_DISC_PHI, or a work estimate above MAX_INVERSE_WORK,
-MAX_NORM_WORK (for the route the norm takes), MAX_MUL_WORK or
-MAX_FACTOR_WORK, each checked before the work it bounds; `factor` checks its
-own limit, then the norm's for N(x + zeta y)), 3 internal invariant violation
-(a verified postcondition failed, such as a `factor` coordinate off its closed
-form; never caused by user input).
+prime in the case1 pipeline, or an input past a limit: MAX_CONDUCTOR (polys),
+MAX_BOUND (fermat), MAX_INDEX (regularity), MAX_DISC_PHI (here), or a work
+estimate above a `ring` cap, MAX_INVERSE_WORK, MAX_NORM_WORK (for the route
+the norm takes), MAX_MUL_WORK or MAX_FACTOR_WORK, each checked before the
+work it bounds; `factor` checks its own limit, then the norm's for
+N(x + zeta y)), 3 internal invariant violation (a verified postcondition
+failed, such as a `factor` coordinate off its closed form; never caused by
+user input).
 
 Rationals never appear as floats: scalar values serialize as strings like
 `-691/2730`, elements as `n:[c0,c1,...]`, polynomials as `[c0,c1,...]`.
@@ -19,8 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import operator
 import sys
+from dataclasses import asdict
 from functools import cache
 
 from .regularity import MAX_INDEX, bernoulli, irregular_pairs, is_regular_prime
@@ -28,7 +30,8 @@ from .errors import InternalInvariantError
 from .fermat import case_i_search, check_regular_and_search
 from .ntheory import is_prime, totient
 from .polys import cyclotomic_poly, discr_prime_pow, discriminant, poly_to_str
-from .ring import CycElt, _check_factor_work, decompose_unit, factor_sum_pth_powers, parse_literal
+from .ring import CycElt, _check_factor_work, _check_mul_work, decompose_unit, factor_sum_pth_powers
+from .ring import parse_literal
 
 __all__ = ["main", "run", "to_json"]
 
@@ -37,29 +40,6 @@ __all__ = ["main", "run", "to_json"]
 # p^k = 7^4 (phi 2058), took 1.6 s and 3^7 (phi 1458) 1.6 s; 5^5 (phi 2500)
 # took 5.8 s and 7^5 (phi 14406) did not finish within 60 s.
 MAX_DISC_PHI = 2400
-
-# Largest `_mul_work` that `elt mul` accepts.  On a 2-vCPU Xeon VM with
-# Python 3.11, in-process products of two literals took 4.4-9.1 s per billion
-# of it: the most for 3000 coordinates of 100 bits at 99991, the least for
-# 100-300 coordinates of 6400-14000 bits.  Just inside the limit (0.98 of
-# it) two 4950-coordinate literals of 101 bits at 99991 took 4.3-5.0 s; two
-# dense 10000-coordinate literals of +-9 (12.1 s) are refused.
-MAX_MUL_WORK = 600_000_000
-
-
-def _mul_work(a, b):
-    """An estimate of the cost of a * b: (nonzero coordinates of a) * (those
-    of b) products of coordinates, each a fixed cost plus the product of the
-    words of the two operands' largest coordinates once denominators are
-    cleared."""
-
-    def terms_and_words(x):
-        bits = max(abs(c) // math.gcd(c, x._den) for c in x._nums).bit_length() + x._den.bit_length()
-        return sum(map(bool, x._nums)), 1 + bits // 64
-
-    (ta, wa), (tb, wb) = terms_and_words(a), terms_and_words(b)
-    return ta * tb * (20 + wa * wb)
-
 
 def to_json(envelope: dict) -> str:
     """Canonical JSON form; re-serializing a parse of this is byte-identical."""
@@ -122,59 +102,41 @@ def _cmd_regular(args):
     ]
     summary = "irregular: " + (" ".join(str(p) for p in irregular) if irregular else "none")
     lines.append(summary)
-    result = {
-        "upto": args.upto,
-        "irregular": irregular,
-        "verdicts": [
-            {"p": r.p, "regular": r.regular, "pairs": [list(pair) for pair in r.pairs]}
-            for r in verdicts
-        ],
-    }
+    result = {"upto": args.upto, "irregular": irregular, "verdicts": list(map(asdict, verdicts))}
     return {"upto": args.upto}, result, lines, summary
 
 
 def _cmd_pairs(args):
     pairs = irregular_pairs(args.p)
     line = _fmt_pairs(pairs)
-    return {"p": args.p}, {"pairs": [list(pair) for pair in pairs]}, [line], line
+    return {"p": args.p}, {"pairs": pairs}, [line], line
+
+
+# elt op -> (its function of the elements, how many elements it takes)
+_ELT_OPS = {
+    "add": (operator.add, 2),
+    "mul": (lambda a, b: _check_mul_work(a, b) * b, 2),
+    "inv": (CycElt.inverse, 1),
+    "norm": (CycElt.norm, 1),
+    "trace": (CycElt.trace, 1),
+    "conj": (CycElt.conj, 1),
+    "is-real": (CycElt.is_real, 1),
+    "is-unit": (CycElt.is_unit, 1),
+}
 
 
 def _cmd_elt(args):
-    op = args.op
-    binary = op in ("add", "mul")
-    if binary and args.b is None:
-        raise _UsageError(f"elt {op} takes two elements")
-    if not binary and args.b is not None:
-        raise _UsageError(f"elt {op} takes one element")
-    a = CycElt(*args.a)
-    b = None if args.b is None else CycElt(*args.b)
-    inputs = {"op": op, "a": str(a)}
-    if b is not None:
-        inputs["b"] = str(b)
-    if op == "add":
-        value = a + b
-    elif op == "mul":
-        if _mul_work(a, b) > MAX_MUL_WORK:
-            raise ValueError(f"mul work estimate exceeds {MAX_MUL_WORK}")
-        value = a * b
-    elif op == "inv":
-        value = a.inverse()
-    elif op == "conj":
-        value = a.conj()
-    elif op == "norm":
-        s = str(a.norm())
-        return inputs, {"value": s}, [s], s
-    elif op == "trace":
-        s = str(a.trace())
-        return inputs, {"value": s}, [s], s
-    elif op == "is-real":
-        flag = a.is_real()
-        return inputs, {"value": flag}, [_fmt_bool(flag)], _fmt_bool(flag)
-    else:  # is-unit
-        flag = a.is_unit()
-        return inputs, {"value": flag}, [_fmt_bool(flag)], _fmt_bool(flag)
-    s = str(value)
-    return inputs, {"element": s}, [s], s
+    """The result is keyed by the op's return type: `element` for an element,
+    `value` for a scalar (as text) or a flag."""
+    op, (fn, arity) = args.op, _ELT_OPS[args.op]
+    if (args.b is not None) + 1 != arity:
+        raise _UsageError(f"elt {op} takes {'two elements' if arity == 2 else 'one element'}")
+    elts = [CycElt(*literal) for literal in (args.a, args.b)[:arity]]
+    inputs = {"op": op, **dict(zip("ab", map(str, elts)))}
+    value = fn(*elts)
+    s = _fmt_bool(value) if isinstance(value, bool) else str(value)
+    key = "element" if isinstance(value, CycElt) else "value"
+    return inputs, {key: value if isinstance(value, bool) else s}, [s], s
 
 
 def _cmd_unit_decompose(args):
@@ -224,15 +186,7 @@ def _cmd_case1(args):
         f"pruned={report.pruned_by_filter} solutions={len(report.solutions)}"
     )
     lines = [summary] + [f"solution: {x}^p + {y}^p = {z}^p" for x, y, z in report.solutions]
-    result = {
-        "p": report.p,
-        "bound": report.bound,
-        "filtered": use_filter,
-        "regularity_checked": not args.skip_regularity,
-        "candidates_examined": report.candidates_examined,
-        "pruned_by_filter": report.pruned_by_filter,
-        "solutions": [list(t) for t in report.solutions],
-    }
+    result = {**asdict(report), "filtered": use_filter, "regularity_checked": not args.skip_regularity}
     inputs = {
         "p": args.p,
         "bound": args.bound,
@@ -275,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_pairs)
 
     p = sub.add_parser("elt", parents=[common], help="element arithmetic on n:[c0,c1,...] literals")
-    p.add_argument("op", choices=["add", "mul", "inv", "norm", "trace", "conj", "is-real", "is-unit"])
+    p.add_argument("op", choices=_ELT_OPS)
     p.add_argument("a", type=parse_literal)
     p.add_argument("b", type=parse_literal, nargs="?", default=None)
     p.set_defaults(handler=_cmd_elt)

@@ -8,8 +8,6 @@ factorization is plain trial division.
 
 from __future__ import annotations
 
-import math
-
 __all__ = [
     "check_odd_prime",
     "divisors",
@@ -21,17 +19,8 @@ __all__ = [
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    """Deterministic primality test: n >= 2 is its own factorization."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def check_odd_prime(p: int) -> int:

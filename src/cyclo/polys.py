@@ -275,6 +275,7 @@ def _remainder_sequence(A, B, track=None):
         denom = gg * hh**delta
         if track:
             u = [B[-1] ** (delta + 1) * c for c in u0] + [0] * (delta + len(u1) - len(u0))
+            # subtracts Q * u1 in place; _mul_lists takes a second list and pass (inverse got slower)
             for i, q in enumerate(Q):
                 for j, c in enumerate(u1):
                     u[i + j] -= q * c

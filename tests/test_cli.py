@@ -172,6 +172,37 @@ def test_usage_errors_exit_1(capsys, argv):
     assert out.err != ""
 
 
+# elt op -> (the elements it takes, its --json result key, the type of the value)
+ELT_SHAPES = {
+    "add": (2, "element", str),
+    "mul": (2, "element", str),
+    "inv": (1, "element", str),
+    "norm": (1, "value", str),
+    "trace": (1, "value", str),
+    "conj": (1, "element", str),
+    "is-real": (1, "value", bool),
+    "is-unit": (1, "value", bool),
+}
+
+
+@pytest.mark.parametrize("op", ELT_SHAPES)
+def test_elt_result_shapes_and_arity_errors(capsys, op):
+    count, key, kind = ELT_SHAPES[op]
+    literals = ["7:[1,1]", "7:[0,2,0,-1]"]
+    expected = "two elements" if count == 2 else "one element"
+    for flags in ([], ["--json"], ["--quiet"]):
+        assert run(["elt", op, *literals[: 3 - count], *flags]) == 1
+        assert capsys.readouterr() == ("", f"usage error: elt {op} takes {expected}\n")
+    outs = []
+    for flags in ([], ["--quiet"], ["--json"]):
+        assert run(["elt", op, *literals[:count], *flags]) == 0
+        outs.append(capsys.readouterr().out)
+    result = json.loads(outs[2])["result"]
+    assert list(result) == [key] and type(result[key]) is kind
+    text = ("true" if result[key] else "false") if kind is bool else result[key]
+    assert outs[0] == outs[1] == text + "\n"
+
+
 # N(A) a single power c^phi(n), or over a denominator m^phi(n), of megabits:
 # `1009:[<4300 nines>]` took about 2 s, `3001:[<4300 nines>]` and p/q
 # elements with a 4001-digit m did not finish in 20 s before it was counted
@@ -472,11 +503,25 @@ def test_norm_routes_at_the_norm_cap_end_within_budget(capsys, argv, evaluate, s
     assert out.startswith("x=587:[") if argv[0] == "unit-decompose" else out.strip().lstrip("-").isalnum()
 
 
+def _fits_mul_work(a, b, limit):
+    """Whether ring._check_mul_work accepts a * b under a cap of `limit`: a
+    pair that fits `work` and not `work - 1` has that estimate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "MAX_MUL_WORK", limit)
+        try:
+            ring._check_mul_work(CycElt.parse(a), CycElt.parse(b))
+        except ValueError as exc:
+            assert str(exc) == f"mul work estimate exceeds {limit}"
+            return False
+    return True
+
+
 def test_mul_at_the_work_cap_ends_within_budget(capsys):
-    # just inside cli.MAX_MUL_WORK (0.98 of it): 101-bit coordinates, the
+    # just inside ring.MAX_MUL_WORK (0.98 of it): 101-bit coordinates, the
     # shape that took the most time per unit of the estimate (4.3-5.0 s)
     a = _seeded_literal(99991, 4950, 2**100)
-    assert 0.95 * cli.MAX_MUL_WORK < cli._mul_work(CycElt.parse(a), CycElt.parse(a)) <= cli.MAX_MUL_WORK
+    cap = ring.MAX_MUL_WORK
+    assert _fits_mul_work(a, a, cap) and not _fits_mul_work(a, a, int(0.95 * cap))
     start = time.monotonic()
     assert run(["elt", "mul", a, a, "--quiet"]) == 0
     assert time.monotonic() - start < 10
@@ -493,7 +538,7 @@ def test_mul_work_of_p_q_literals():
         ("7:[1/3,144115188075855873/5,0,-7/2]", "7:[1180591620717411303421/9,1,1/6]", 198),
     ]
     for a, b, work in pairs:
-        assert cli._mul_work(CycElt.parse(a), CycElt.parse(b)) == work
+        assert _fits_mul_work(a, b, work) and not _fits_mul_work(a, b, work - 1)
 
 
 def test_bernoulli_at_the_index_cap_ends_within_budget():

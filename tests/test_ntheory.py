@@ -47,14 +47,20 @@ def test_moebius_divisor_sum():
 
 
 def test_is_prime_small():
-    sieve = [True] * 200
+    sieve = [True] * 20001
     sieve[0] = sieve[1] = False
-    for i in range(2, 200):
+    for i in range(2, 20001):
         if sieve[i]:
-            for j in range(i * i, 200, i):
+            for j in range(i * i, 20001, i):
                 sieve[j] = False
-    for n in range(200):
+    for n in range(20001):
         assert is_prime(n) == sieve[n]
+    # squares of primes sit on the d * d <= n edge of trial division; the
+    # Carmichael numbers 561, 41041 and 825265 pass every Fermat test
+    for n in (49, 3481, 46337**2, 561, 41041, 825265, 46337 * 46349, 0, 1, -1, -2, -3, -49):
+        assert not is_prime(n), n
+    for n in (2, 3, 46337, 46349, 2**31 - 1):
+        assert is_prime(n), n
 
 
 def test_check_odd_prime():
