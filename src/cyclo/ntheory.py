@@ -19,8 +19,8 @@ __all__ = [
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test: n >= 2 is its own factorization."""
-    return n >= 2 and factorize(n) == [(n, 1)]
+    """Deterministic primality test: n >= 2 is its own least prime factor."""
+    return n >= 2 and _least_factor(n) == n
 
 
 def check_odd_prime(p: int) -> int:
@@ -30,22 +30,29 @@ def check_odd_prime(p: int) -> int:
     return p
 
 
+def _least_factor(n: int, d: int = 2) -> int:
+    """Least prime factor of n >= 2, by trial division from d, which is 2 or
+    odd and not above that factor."""
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1 if d == 2 else 2
+    return n
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (prime, exponent)."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out = []
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
+    while n > 1:
+        d = _least_factor(n, d)
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        out.append((d, e))
     return out
 
 

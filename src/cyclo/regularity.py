@@ -8,12 +8,14 @@ Bernoulli, Tangent and Secant numbers", 2011):
 
 and the zigzag numbers E_n come from the Seidel-Entringer boustrophedon by
 integer additions alone.  One row of the triangle is kept beside an
-append-only memo table; both grow together under a lock, so concurrent
-readers are safe.  Indices above MAX_INDEX are refused before any work.
+append-only memo table of B_0, B_2, B_4, ... as reduced numerators and
+denominators, plain ints; they grow together under a lock, so concurrent
+readers are safe.  B_1 = -1/2 and the odd B_m = 0 (m >= 3) are answered
+without the table.  Indices above MAX_INDEX are refused before any work.
 
 A prime p >= 5 is regular exactly when p divides no numerator among
 B_2, B_4, ..., B_(p-3); the even indices where it does are its irregular
-pairs.
+pairs.  The criterion scans the stored numerators directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, count, repeat
+from math import gcd
+from operator import mod, not_
 
 from .ntheory import divisors, is_prime
 
@@ -34,30 +38,35 @@ __all__ = [
     "vsc_denominator",
 ]
 
-# Largest accepted Bernoulli index: a cold table up to it took 8.4-9.5 s
-# and peaked at 51 MB (each pass over _row builds the new row beside the
-# old one) on a 2-vCPU Xeon VM with Python 3.11 (4000 took 10-15 s, 3000
-# took 4.8 s).
+# Largest accepted Bernoulli index: a cold table up to it took 4.4-4.9 s
+# in-process (4.7-6.4 s as a CLI run) and peaked at 51 MB (each pass over
+# _row builds the new row beside the old one) on a 2-vCPU Xeon VM with
+# Python 3.11 (4000 took 7.1-7.2 s and 62 MB, 3000 took 2.8-3.2 s).
 MAX_INDEX = 3500
 
-# _table holds B_0..B_(2k+1) and _row is row 2k of the boustrophedon, stored
-# as [0, E_(2k-1), ..., E_2k, E_2k] for k >= 1; odd rows run the other way.
-_table: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# _table[k] is the numerator of B_2k in lowest terms, with its sign, and
+# _denominators[k] its (positive) denominator; _row is row 2k of the
+# boustrophedon, stored as [0, E_(2k-1), ..., E_2k, E_2k] for k >= 1; odd
+# rows run the other way.  The denominator is appended first, so a reader
+# that sees _table[k] without the lock also sees _denominators[k].
+_table: list[int] = [1]
+_denominators: list[int] = [1]
 _row: list[int] = [1]
 _lock = threading.Lock()
 
 
 def _extend_table() -> None:
-    """Advance _row two rows, then append B_2k and B_(2k+1) = 0.  Caller
-    holds _lock."""
+    """Advance _row two rows, then append B_2k.  Caller holds _lock."""
     row = _row
     row[::-1] = accumulate(reversed(row))  # odd row 2k-1: suffix sums, ending in 0
     row.append(0)
     row[:] = accumulate(row, initial=0)  # even row 2k: 0, then prefix sums
-    k = len(_table) // 2
+    k = len(_table)
     q = 4**k
-    b = Fraction(2 * k * row[1], q * (q - 1))
-    _table.extend((b if k % 2 else -b, Fraction(0)))
+    num, den = 2 * k * row[1], q * (q - 1)
+    g = gcd(num, den)
+    _denominators.append(den // g)
+    _table.append((num if k % 2 else -num) // g)
 
 
 def bernoulli(m: int) -> Fraction:
@@ -70,11 +79,14 @@ def bernoulli(m: int) -> Fraction:
         raise ValueError("index must be >= 0")
     if m > MAX_INDEX:
         raise ValueError(f"index must be <= {MAX_INDEX}")
-    if m >= len(_table):
+    if m % 2:
+        return Fraction(-1, 2) if m == 1 else Fraction(0)
+    k = m // 2
+    if k >= len(_table):
         with _lock:
-            while m >= len(_table):
+            while k >= len(_table):
                 _extend_table()
-    return _table[m]
+    return Fraction(_table[k], _denominators[k])
 
 
 def vsc_denominator(m: int) -> int:
@@ -101,7 +113,9 @@ def irregular_pairs(p: int) -> list[tuple[int, int]]:
     _check_criterion_size(p)
     if p < 5 or not is_prime(p):
         raise ValueError("odd prime >= 5 required")
-    return [(p, k) for k in range(2, p - 2, 2) if bernoulli(k).numerator % p == 0]
+    bernoulli(p - 3)  # extends the table through B_(p-3)
+    divisible = map(not_, map(mod, _table[1 : (p - 1) // 2], repeat(p)))
+    return [(p, k) for k in compress(count(2, 2), divisible)]
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ of unity by a power per divisor of 2n, the Case I search by a
 binary-search p-th root per pair and by a z-pointer over every pair, its
 sieve by a mask looked up by x^p mod q for each x, its size cut by a
 pointer walked per chunk and its pruned count x by x, Bernoulli
-numbers by the defining recurrence over Fractions, and the text of a
-scalar by its type.  They are
-deliberately slow and simple.
+numbers by the defining recurrence over Fractions, irregular pairs by
+one Fraction numerator per index, and the text of a scalar by its type.
+They are deliberately slow and simple.
 """
 
 import functools
@@ -519,7 +519,7 @@ def format_scalar(c):
     return f"{c.numerator}/{c.denominator}"
 
 
-# -- Bernoulli numbers by the defining recurrence ----------------------------------
+# -- Bernoulli numbers by the defining recurrence, irregular pairs by numerators ---
 
 
 def recurrence_bernoulli(m: int, _table=[Fraction(1)]) -> Fraction:
@@ -537,6 +537,12 @@ def recurrence_bernoulli(m: int, _table=[Fraction(1)]) -> Fraction:
                 acc += math.comb(i + 1, j) * bj
         _table.append(-acc / (i + 1))
     return _table[m]
+
+
+def fraction_irregular_pairs(p: int, B) -> list[tuple[int, int]]:
+    """Irregular pairs of the prime p >= 5 by reading the numerator of each
+    B(k) = B_k, one Fraction per even index k = 2..p-3."""
+    return [(p, k) for k in range(2, p - 2, 2) if B(k).numerator % p == 0]
 
 
 def rand_elt(rng, n, lo=-9, hi=9, max_den=1):

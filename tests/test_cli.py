@@ -47,6 +47,8 @@ GOLDEN_CASES = [
     (["elt", "is-real", "5:[0,1,0,0,1]"], "elt_is_real_5.txt"),
     (["elt", "is-unit", "7:[1,1,1]", "--json"], "elt_is_unit_7_json.txt"),
     (["case1", "5", "--bound", "20", "--no-filter"], "case1_5_b20_nofilter.txt"),
+    (["bernoulli", "3499"], "bernoulli_3499.txt"),
+    (["pairs", "31", "--json"], "pairs_31_json.txt"),
 ]
 
 

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from cyclo import regularity
+from cyclo.ntheory import is_prime
 from cyclo.regularity import MAX_INDEX, bernoulli, irregular_pairs, is_regular_prime, vsc_denominator
-from oracles import recurrence_bernoulli
+from oracles import fraction_irregular_pairs, recurrence_bernoulli
 
 
 def mod_p(value: Fraction, p: int) -> int:
@@ -75,8 +76,21 @@ def test_kummer_congruence():
 
 def test_irregular_pairs_examples():
     assert irregular_pairs(7) == []
+    # T_5 = 7936 = 2^8 * 31 but B_10 = 5/66: a test on tangent numbers fails here
+    assert irregular_pairs(31) == []
     assert irregular_pairs(37) == [(37, 32)]
-    assert (691, 12) in irregular_pairs(691)  # numerator of B_12 is -691
+    assert irregular_pairs(691) == [(691, 12), (691, 200)]  # numerator of B_12 is -691
+
+
+def test_irregular_pairs_match_recurrence_oracle():
+    for p in filter(is_prime, range(5, 600)):
+        assert irregular_pairs(p) == fraction_irregular_pairs(p, recurrence_bernoulli), p
+
+
+def test_irregular_pairs_match_fraction_numerators_up_to_the_cap():
+    table = [bernoulli(k) for k in range(MAX_INDEX + 1)]
+    for p in filter(is_prime, range(5, MAX_INDEX + 4)):
+        assert irregular_pairs(p) == fraction_irregular_pairs(p, table.__getitem__), p
 
 
 def test_irregular_pairs_are_genuine_divisibilities():
@@ -132,9 +146,11 @@ def test_concurrent_readers_see_consistent_table():
 
 
 def _cold_table():
-    """Drop every computed Bernoulli number and rewind the boustrophedon row."""
+    """Drop every computed Bernoulli number past B_0 and rewind the
+    boustrophedon row."""
     with regularity._lock:
-        del regularity._table[2:]
+        del regularity._table[1:]
+        del regularity._denominators[1:]
         regularity._row[:] = [1]
 
 
@@ -190,3 +206,17 @@ def test_sizes_checked_before_work():
             is_regular_prime(p)
     assert time.monotonic() - start < 1
     assert len(regularity._table) == computed
+
+
+def test_odd_indices_and_the_ends_need_no_table():
+    _cold_table()
+    start = time.monotonic()
+    odd = bernoulli(MAX_INDEX - 1)
+    assert odd == 0 and type(odd) is Fraction
+    with pytest.raises(ValueError, match=f"index must be <= {MAX_INDEX}"):
+        bernoulli(MAX_INDEX + 1)
+    for m in (0, 1):
+        got, want = bernoulli(m), recurrence_bernoulli(m)
+        assert got == want and type(got) is type(want), m
+    assert time.monotonic() - start < 1
+    assert len(regularity._table) == 1
