@@ -22,12 +22,12 @@ operations on masks stored in the table of the search:
   residue of x mod p;
 - for each auxiliary prime q = 1 (mod p) with q <= 2*bound + 1,
   x^p + y^p must be a p-th-power residue mod q, 0 included, as z^p is.  The
-  y that pass have period q, and their mask is one list index by x mod q;
-  the period-q patterns are cached per (p, q).  This is the auxiliary-prime
+  y that pass have period q, and their mask is one list index by x mod q,
+  each pattern computed once per table.  This is the auxiliary-prime
   argument behind Sophie Germain's theorem (Ribenboim, 13 Lectures on
   Fermat's Last Theorem, Lecture IV).  The search takes the first four
   such primes, and more while a cost model fitted to timings says that the
-  pairs left to test cost more than another sieve (`_auxiliary_primes`);
+  pairs left to test cost more than another sieve (`_sieves`);
 - the size cut y <= top(x): z >= y + 1 needs (y+1)^p - y^p <= x^p.
   top(x) never decreases as x grows, so one pointer walk stores the window
   x..top(x) of every x.
@@ -50,7 +50,6 @@ evicted first.
 
 from __future__ import annotations
 
-import functools
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
@@ -79,7 +78,7 @@ __all__ = [
 # searches keep at most as many bits in all.
 MAX_BOUND, MAX_POWER_BITS = 10_000, 1 << 30
 
-# The cost model by which _auxiliary_primes sizes the sieves, in steps of
+# The cost model by which _sieves sizes the sieves, in steps of
 # one x's mask ANDed with one sieve, fitted to cold case_i_search timings
 # at bounds 360 to 10^4 (p = 3 to 101): a pair left to the exact test costs
 # PAIR_STEPS, and building the sieve of a prime q costs BUILD_STEPS * q.
@@ -105,24 +104,6 @@ def _check_search(p, bound):
     check_odd_prime(p)
 
 
-def _auxiliary_primes(p, bound, windows):
-    """The primes q = 1 (mod p) with q <= 2*bound + 1 that the search sieves
-    by, ascending: the first four, then each next q for as long as the
-    pairs that the sieves so far leave to the exact test cost more than the
-    sieve of q (PAIR_STEPS, BUILD_STEPS).  The pairs left are estimated as
-    those of the windows (`_windows`), times the share (p-1)(p-2)/p^2 that
-    the filter keeps, times the share _passing(p, q)/q^2 of each sieve."""
-    xs, qs = len(windows), []
-    left, scale = sum(map(int.bit_length, windows)) * (p - 1) * (p - 2), p * p  # left / scale pairs
-    for q in filter(is_prime, range(2 * p + 1, 2 * bound + 2, 2 * p)):
-        if len(qs) >= 4 and left * PAIR_STEPS <= scale * (xs + BUILD_STEPS * q):
-            break
-        qs.append(q)
-        left, scale = left * _passing(p, q), scale * q * q
-    return qs
-
-
-@functools.cache
 def _residue_patterns(p, q):
     """(powers, patterns) for a prime q = 1 (mod p): powers[r] = r^p mod q
     for r = 0..q-1, and patterns = {a: bits} over the p-th-power residues a
@@ -136,11 +117,27 @@ def _residue_patterns(p, q):
     return powers, {a: sum(bits for c, bits in classes.items() if (a + c) % q in classes) for a in classes}
 
 
-def _passing(p, q):
-    """How many of the q^2 residue pairs (x, y) mod q the sieve of q keeps:
-    the class 0 of x^p holds one residue x, and every other class p."""
-    patterns = _residue_patterns(p, q)[1]
-    return p * sum(map(int.bit_count, patterns.values())) - (p - 1) * patterns[0].bit_count()
+def _sieves(p, bound, windows):
+    """(q, by_residue) for the primes q = 1 (mod p) with q <= 2*bound + 1
+    that the search sieves by, ascending: the first four, then each next q
+    for as long as the pairs that the sieves so far leave to the exact test
+    cost more than the sieve of q (PAIR_STEPS, BUILD_STEPS).  The pairs left
+    are estimated as those of the windows (`_windows`), times the share
+    (p-1)(p-2)/p^2 that the filter keeps, times the share of the q^2 residue
+    pairs (x, y) mod q that each sieve keeps.  by_residue[r] is the period-q
+    pattern of the class of r^p mod q expanded to bound + 1 bits."""
+    xs, sieves = len(windows), []
+    left, scale = sum(map(int.bit_length, windows)) * (p - 1) * (p - 2), p * p  # left / scale pairs
+    for q in filter(is_prime, range(2 * p + 1, 2 * bound + 2, 2 * p)):
+        if len(sieves) >= 4 and left * PAIR_STEPS <= scale * (xs + BUILD_STEPS * q):
+            break
+        powers, patterns = _residue_patterns(p, q)
+        # the class 0 of x^p holds one residue x, and every other class p
+        passing = p * sum(map(int.bit_count, patterns.values())) - (p - 1) * patterns[0].bit_count()
+        left, scale = left * passing, scale * q * q
+        expanded = {a: _periodic(bits, q, bound + 1) for a, bits in patterns.items()}
+        sieves.append((q, list(map(expanded.__getitem__, powers))))
+    return sieves
 
 
 def _periodic(bits, period, length):
@@ -218,13 +215,8 @@ def _table(p, bound):
     x0, pth = _powers(p, bound)
     windows = _windows(x0, pth, bound)
     coprime = _periodic((1 << p) - 2, p, bound + 1 + p)
-    sieves = []
-    for q in _auxiliary_primes(p, bound, windows):
-        powers, patterns = _residue_patterns(p, q)
-        expanded = {a: _periodic(bits, q, bound + 1) for a, bits in patterns.items()}
-        sieves.append((q, list(map(expanded.__getitem__, powers))))
     filters = [0, *(coprime & coprime >> r for r in range(1, p))]
-    return _Table(x0, pth, coprime, sieves, filters, windows)
+    return _Table(x0, pth, coprime, _sieves(p, bound, windows), filters, windows)
 
 
 class _Tables:

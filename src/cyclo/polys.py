@@ -318,7 +318,8 @@ def resultant_cofactor(f: Poly, g: Poly):
     """(t, c), t a list low to high, with t * g = c (mod f) for a monic integer
     f and an integer g coprime to it (reduced modulo f first if longer): c is
     the last remainder of the sequence `resultant` takes.  When deg g >=
-    deg f - 1, as for dense elements, the sequence tracks t itself; otherwise
+    deg f - 1, as for dense elements, or deg g <= 1 (where the lc(g)^e below,
+    e = deg f, costs far more than the sequence), the sequence tracks t; else
     it tracks f's cofactor u, shorter than g, and t = (c - u * f) / g, the
     pseudo-quotient of `_prem` over lc(g)^e, both divisions checked exact.
 
@@ -329,7 +330,7 @@ def resultant_cofactor(f: Poly, g: Poly):
     if len(B) > len(A):
         g = Poly(_prem(B, A))
         B = list(g.coeffs)
-    direct = len(B) >= len(A) - 1
+    direct = len(B) <= 2 or len(B) >= len(A) - 1
     last, u = B, [1] if direct else []
     if len(B) > 1:
         _, _, last, _, u = _remainder_sequence(A, B, ([], [1]) if direct else ([1], []))

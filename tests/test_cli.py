@@ -4,6 +4,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -58,6 +60,35 @@ def test_golden_outputs(capsys, argv, golden):
     out = capsys.readouterr()
     assert out.out == (GOLDEN / golden).read_text()
     assert out.err == ""
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(argv, line) for each `cyclo ...` line of the README's sh blocks: the
+    command's arguments, and its comment up to the first double space, which
+    is the last line the command prints."""
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            if line.startswith("cyclo "):
+                command, _, comment = line.partition("#")
+                examples.append((shlex.split(command)[1:], comment.strip().split("  ")[0]))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_its_examples():
+    assert len(README_EXAMPLES) == 10 and all(last for _, last in README_EXAMPLES)
+
+
+@pytest.mark.parametrize("argv,last", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES])
+def test_readme_examples_print_their_comment(capsys, argv, last):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == last
 
 
 JSON_COMMANDS = [

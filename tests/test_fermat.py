@@ -173,7 +173,7 @@ def _aux_primes_brute(p, bound):
 
 def _auxiliary_primes(p, bound):
     """The auxiliary primes of the (p, bound) search."""
-    return fermat._auxiliary_primes(p, bound, fermat._windows(*fermat._powers(p, bound), bound))
+    return [q for q, _ in fermat._sieves(p, bound, fermat._windows(*fermat._powers(p, bound), bound))]
 
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -225,6 +225,16 @@ def test_auxiliary_prime_counts_of_the_fit():
     # the cap, where its next prime, 1481, costs more than it saves
     assert [len(_auxiliary_primes(p, 360)) for p in (5, 7, 11, 13)] == [4, 4, 4, 4]
     assert [len(_auxiliary_primes(p, MAX_BOUND)) for p in (3, 5, 7, 37)] == [10, 7, 7, 4]
+
+
+def test_each_build_computes_each_residue_pattern_once(monkeypatch):
+    # one walk over the auxiliary primes per table, and no memo across
+    # tables: a second build of the same table computes them again
+    calls, patterns = [], fermat._residue_patterns
+    monkeypatch.setattr(fermat, "_residue_patterns", lambda p, q: calls.append((p, q)) or patterns(p, q))
+    assert fermat._table(5, 360) == fermat._table(5, 360)
+    assert calls == [(5, q) for q in (11, 31, 41, 61)] * 2
+    assert not [name for name, v in vars(fermat).items() if hasattr(v, "cache_info")]
 
 
 def _brute_survivors(p, bound, use_filter, lo, hi):
@@ -411,9 +421,8 @@ def test_search_matches_pointer_walk_in_larger_boxes(p):
                 assert got == pointer_walk_case_i_search(p, bound, use_filter, x_range), (bound, x_range)
 
 
-def test_residue_patterns_cache_is_thread_safe(monkeypatch):
+def test_table_builds_are_thread_safe(monkeypatch):
     serial = [case_i_search(p, 120) for p in (7, 11, 13)]
-    fermat._residue_patterns.cache_clear()
     monkeypatch.setattr(fermat, "_TABLES", fermat._Tables())
     results = [None] * 4
     barrier = threading.Barrier(len(results), timeout=30)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cyclo.ntheory import check_odd_prime, divisors, is_prime, moebius, totient
+from cyclo.ntheory import check_odd_prime, divisors, factorize, is_prime, moebius, totient
 from oracles import moebius_brute, phi_brute
 
 
@@ -32,6 +32,13 @@ def test_totient_divisor_sum():
 def test_totient_rejects_zero():
     with pytest.raises(ValueError):
         totient(0)
+
+
+def test_factorize_and_moebius_reject_zero():
+    with pytest.raises(ValueError, match="n >= 1"):
+        factorize(0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        moebius(0)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (12, 0), (6, 1)])

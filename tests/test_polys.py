@@ -1,3 +1,4 @@
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -49,6 +50,20 @@ def test_degree_of_zero_is_a_marker():
 def test_rejects_floats():
     with pytest.raises(TypeError):
         Poly([0.5])
+
+
+def test_poly_is_immutable_hashable_and_refuses_non_scalars():
+    f = Poly([1, 2])
+    with pytest.raises(AttributeError, match="immutable"):
+        f.coeffs = (3,)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(f, "x")
+        with pytest.raises(TypeError):
+            op("x", f)
+    assert (Poly([3]) == 3) is False
+    assert hash(f) == hash(Poly([1, 2, 0])) and len({f, Poly([1, 2])}) == 1
+    assert str(f) == "[1,2]"
 
 
 @pytest.mark.parametrize(
@@ -323,7 +338,9 @@ def test_resultant_cofactor_does_not_pay_in_resultant(monkeypatch):
     resultant(cyclotomic_poly(11), Poly([3, 1, 4, 1, 5]))
     resultant_cofactor(cyclotomic_poly(11), Poly([3, 1, 4, 1, 5]))  # tracks Phi_11's cofactor
     resultant_cofactor(cyclotomic_poly(11), Poly([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]))  # tracks g's own
-    assert calls == [None, ([1], []), ([], [1])]
+    # two terms track g's own: t from f's cofactor would take lc(g)^(deg f)
+    resultant_cofactor(cyclotomic_poly(11), Poly([3, -5]))
+    assert calls == [None, ([1], []), ([], [1]), ([], [1])]
 
 
 @pytest.mark.parametrize("g", [(3, 1, 4, 1, 5), (3, 1, 4, 1, 5, 9, 2, 6, 5, 3), (2, -7, 1, 8, 2, 8, 1, 8, 2, 8, 4)])

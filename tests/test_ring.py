@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 import threading
@@ -133,6 +134,23 @@ def test_hash_agrees_with_equality():
     assert CycElt(5, 1) != CycElt(7, 1) and not CycElt(5, 1) == CycElt(7, 1)
     assert len({CycElt(5, 1), CycElt(7, 1)}) == 2
     assert CycElt.zeta(5) != CycElt.zeta(7)
+
+
+def test_elements_are_immutable_and_refuse_non_scalars():
+    z = CycElt.zeta(5)
+    with pytest.raises(AttributeError, match="immutable"):
+        z.n = 7
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(z, "x")
+        with pytest.raises(TypeError):
+            op("x", z)
+    assert (z == "x") is False
+    with pytest.raises(ValueError, match="integer"):
+        z**1.5
+    with pytest.raises(ValueError, match="not rational"):
+        z.as_scalar()
+    assert CycElt(5, Fraction(2, 3)).as_scalar() == Fraction(2, 3)
 
 
 def test_rejects_bad_conductor_and_floats():
@@ -1118,6 +1136,16 @@ def test_decompose_unit_error_branches(monkeypatch):
         decompose_unit(z**2 * (z - z**4))  # equal to -zeta^4 times its conjugate
     with pytest.raises(InternalInvariantError, match="not a root of unity"):
         decompose_unit(2 + z)
+
+
+def test_decompose_unit_checks_its_postcondition(monkeypatch):
+    # the decomposition is re-verified before it is returned: a real part
+    # that fails is_real must raise, not be handed back
+    u = 1 + CycElt.zeta(5)
+    assert decompose_unit(u).m == 3
+    monkeypatch.setattr(CycElt, "is_real", lambda self: False)
+    with pytest.raises(InternalInvariantError, match="postcondition"):
+        decompose_unit(u)
 
 
 # -- the factorization identity -------------------------------------------------------
