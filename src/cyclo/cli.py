@@ -196,6 +196,30 @@ def _cmd_case1(args):
     return inputs, result, lines, summary
 
 
+_INT, _LITERAL, _FLAG = {"type": int}, {"type": parse_literal}, {"action": "store_true"}
+
+# command -> (its handler, its help, its arguments as (name, `add_argument` options))
+_COMMANDS = {
+    "poly": (_cmd_poly, "n-th cyclotomic polynomial", [("n", _INT)]),
+    "disc": (_cmd_disc, "prime-power field discriminant, formula vs oracle", [("p", _INT), ("k", _INT)]),
+    "bernoulli": (_cmd_bernoulli, "exact Bernoulli number B_m", [("m", _INT)]),
+    "regular": (_cmd_regular, "regularity verdicts for primes up to a bound", [("--upto", {**_INT, "required": True})]),
+    "pairs": (_cmd_pairs, "irregular pairs of an odd prime >= 5", [("p", _INT)]),
+    "elt": (
+        _cmd_elt,
+        "element arithmetic on n:[c0,c1,...] literals",
+        [("op", {"choices": _ELT_OPS}), ("a", _LITERAL), ("b", {**_LITERAL, "nargs": "?"})],
+    ),
+    "unit-decompose": (_cmd_unit_decompose, "split a unit as real * zeta^m", [("p", _INT), ("elt", _LITERAL)]),
+    "factor": (_cmd_factor, "factor x^p + y^p into (x + zeta^i y)", [("p", _INT), ("x", _INT), ("y", _INT)]),
+    "case1": (
+        _cmd_case1,
+        "exhaustive Case I search up to a bound",
+        [("p", _INT), ("--bound", {**_INT, "required": True}), ("--no-filter", _FLAG), ("--skip-regularity", _FLAG)],
+    ),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The `cyclo` parser, built on the first call and shared after it
@@ -207,50 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cyclo", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("poly", parents=[common], help="n-th cyclotomic polynomial")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_poly)
-
-    p = sub.add_parser("disc", parents=[common], help="prime-power field discriminant, formula vs oracle")
-    p.add_argument("p", type=int)
-    p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_disc)
-
-    p = sub.add_parser("bernoulli", parents=[common], help="exact Bernoulli number B_m")
-    p.add_argument("m", type=int)
-    p.set_defaults(handler=_cmd_bernoulli)
-
-    p = sub.add_parser("regular", parents=[common], help="regularity verdicts for primes up to a bound")
-    p.add_argument("--upto", type=int, required=True)
-    p.set_defaults(handler=_cmd_regular)
-
-    p = sub.add_parser("pairs", parents=[common], help="irregular pairs of an odd prime >= 5")
-    p.add_argument("p", type=int)
-    p.set_defaults(handler=_cmd_pairs)
-
-    p = sub.add_parser("elt", parents=[common], help="element arithmetic on n:[c0,c1,...] literals")
-    p.add_argument("op", choices=_ELT_OPS)
-    p.add_argument("a", type=parse_literal)
-    p.add_argument("b", type=parse_literal, nargs="?", default=None)
-    p.set_defaults(handler=_cmd_elt)
-
-    p = sub.add_parser("unit-decompose", parents=[common], help="split a unit as real * zeta^m")
-    p.add_argument("p", type=int)
-    p.add_argument("elt", type=parse_literal)
-    p.set_defaults(handler=_cmd_unit_decompose)
-
-    p = sub.add_parser("factor", parents=[common], help="factor x^p + y^p into (x + zeta^i y)")
-    p.add_argument("p", type=int)
-    p.add_argument("x", type=int)
-    p.add_argument("y", type=int)
-    p.set_defaults(handler=_cmd_factor)
-
-    p = sub.add_parser("case1", parents=[common], help="exhaustive Case I search up to a bound")
-    p.add_argument("p", type=int)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--no-filter", action="store_true")
-    p.add_argument("--skip-regularity", action="store_true")
-    p.set_defaults(handler=_cmd_case1)
+    for name, (handler, summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for argument, options in arguments:
+            p.add_argument(argument, **options)
+        p.set_defaults(handler=handler)
 
     return parser
 

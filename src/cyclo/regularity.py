@@ -7,8 +7,8 @@ Bernoulli, Tangent and Secant numbers", 2011):
     B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)),
 
 and the zigzag numbers E_n come from the Seidel-Entringer boustrophedon by
-integer additions alone.  One row of the triangle is kept beside an
-append-only memo table of B_0, B_2, B_4, ... as reduced numerators and
+integer additions alone, in place.  One row of the triangle is kept beside
+an append-only memo table of B_0, B_2, B_4, ... as reduced numerators and
 denominators, plain ints; they grow together under a lock, so concurrent
 readers are safe.  B_1 = -1/2 and the odd B_m = 0 (m >= 3) are answered
 without the table.  Indices above MAX_INDEX are refused before any work.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from math import gcd
 from operator import mod, not_
 
@@ -38,17 +38,17 @@ __all__ = [
     "vsc_denominator",
 ]
 
-# Largest accepted Bernoulli index: a cold table up to it took 4.4-4.9 s
-# in-process (4.7-6.4 s as a CLI run) and peaked at 51 MB (each pass over
-# _row builds the new row beside the old one) on a 2-vCPU Xeon VM with
-# Python 3.11 (4000 took 7.1-7.2 s and 62 MB, 3000 took 2.8-3.2 s).
+# Largest accepted Bernoulli index: a cold table up to it took 4.5-6.3 s
+# in-process (6.3-7.6 s as a CLI run) and peaked at 37 MB on a 2-vCPU Xeon
+# VM with Python 3.11 (4000 took 8.7 s and 44 MB, 3000 took 3.4 s and
+# 31 MB).
 MAX_INDEX = 3500
 
 # _table[k] is the numerator of B_2k in lowest terms, with its sign, and
 # _denominators[k] its (positive) denominator; _row is row 2k of the
-# boustrophedon, stored as [0, E_(2k-1), ..., E_2k, E_2k] for k >= 1; odd
-# rows run the other way.  The denominator is appended first, so a reader
-# that sees _table[k] without the lock also sees _denominators[k].
+# boustrophedon, [0, E_(2k-1), ..., E_2k, E_2k] for k >= 1.  The
+# denominator is appended first, so a reader that sees _table[k] without
+# the lock also sees _denominators[k].
 _table: list[int] = [1]
 _denominators: list[int] = [1]
 _row: list[int] = [1]
@@ -58,9 +58,12 @@ _lock = threading.Lock()
 def _extend_table() -> None:
     """Advance _row two rows, then append B_2k.  Caller holds _lock."""
     row = _row
-    row[::-1] = accumulate(reversed(row))  # odd row 2k-1: suffix sums, ending in 0
-    row.append(0)
-    row[:] = accumulate(row, initial=0)  # even row 2k: 0, then prefix sums
+    for _ in range(2):  # row n: 0, then the prefix sums of row n-1 read backwards
+        row.reverse()
+        row.insert(0, 0)
+        sums = accumulate(row)
+        for start in range(0, len(row), 256):  # in place: `sums` reads a block before it is written
+            row[start : start + 256] = islice(sums, 256)
     k = len(_table)
     q = 4**k
     num, den = 2 * k * row[1], q * (q - 1)

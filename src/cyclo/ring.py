@@ -31,7 +31,7 @@ c = t * g modulo f: a^-1 = conj(a) * t(zeta + 1/zeta) / c, or t / c.
 
 Everything is immutable and every operation is a pure function; the only
 shared state is the per-conductor Ramanujan-sum and Psi_n tables, primes
-l = 1 (mod n) and lifted roots of unity, and the last few exponent tables
+l = 1 (mod n) and lifted roots of unity, and the last two exponent tables
 here, and the Phi_n and product-form caches in `polys`, all idempotent.
 
 >>> z = CycElt.zeta(5)
@@ -47,6 +47,7 @@ import functools
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -286,21 +287,15 @@ def _lifted_root(n, e):
     return w, v
 
 
-def _conjugate_rows(n, lags):
-    """The rows m * k mod n, m = 1..lags, for k in 1..n/2 prime to n (one k
-    of each pair +-k of (Z/n)^*), one row at a time."""
-    return ([m * k % n for m in range(1, lags + 1)] for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
-
-
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def _kept_conjugate_rows(n, lags):
-    """`_conjugate_rows` as a list, kept for the last four (n, lags)."""
-    return list(_conjugate_rows(n, lags))
-
-
-# Largest phi(n) * lags for which `_evaluated_norm` keeps its exponent table,
-# of phi(n) * lags / 2 entries; larger ones are built a row at a time.
-MAX_KEPT_ROWS = 1 << 14
+    """The rows m * k mod n, m = 1..lags, for k in 1..n/2 prime to n (one k
+    of each pair +-k of (Z/n)^*), as 4-byte arrays, kept for the last two
+    (n, lags): (phi(n)/2) * lags * 4 bytes, 3.1 MB for a dense n = 1759, and
+    as much again while they are built.  Row k is the stride-k slice of
+    0, 1, ..., n-1 repeated past lags * k."""
+    ramp = array("i", range(n)) * (lags // 2 + 1)
+    return tuple(ramp[k : (lags + 1) * k : k] for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
 
 
 def _evaluated_norm(n, d, a, squares, lag1):
@@ -334,8 +329,7 @@ def _evaluated_norm(n, d, a, squares, lag1):
     sums += sums[n - n // 2 - 1 : 0 : -1]  # s_(n-j) = s_j
     c = _autocorrelation(n, a, squares, lag1)
     c0, lags, norm = c[0], c[1:], 1
-    rows = _kept_conjugate_rows if d * len(lags) <= MAX_KEPT_ROWS else _conjugate_rows
-    for row in rows(n, len(lags)):
+    for row in _kept_conjugate_rows(n, len(lags)):
         norm = norm * (c0 + sum(map(operator.mul, lags, map(sums.__getitem__, row)))) % mod
     return norm
 

@@ -62,6 +62,17 @@ def test_golden_outputs(capsys, argv, golden):
     assert out.err == ""
 
 
+COMMANDS = ("poly", "disc", "bernoulli", "regular", "pairs", "elt", "unit-decompose", "factor", "case1")
+HELP_CASES = [(["--help"], "help.txt"), *(([c, "--help"], f"help_{c}.txt") for c in COMMANDS)]
+
+
+@pytest.mark.parametrize("argv,golden", HELP_CASES, ids=[g for _, g in HELP_CASES])
+def test_help_texts(capsys, monkeypatch, argv, golden):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 README = Path(__file__).parent.parent / "README.md"
 
 

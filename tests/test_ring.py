@@ -946,6 +946,27 @@ def test_lifted_root_is_a_root_of_phi_n_at_every_precision():
             assert sum(c * pow(w, i, mod) for i, c in enumerate(cyclotomic_poly(n).coeffs)) % mod == 0
 
 
+# (n, lags) at full width (n // 2) and short, tables of 115 to 254016 entries;
+# at 99991 the entries pass 65535, which a 2-byte array refuses
+@pytest.mark.parametrize("n,lags", [(47, 23), (47, 5), (211, 105), (211, 3), (1009, 504), (1009, 17), (99991, 3)])
+def test_kept_conjugate_rows_are_the_exponent_rows(n, lags):
+    rows = ring._kept_conjugate_rows(n, lags)
+    want = [[m * k % n for m in range(1, lags + 1)] for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1]
+    assert [list(row) for row in rows] == want
+    assert {row.itemsize for row in rows} == {4}
+    assert n < 65536 or max(map(max, rows)) > 65535
+    assert ring._kept_conjugate_rows.cache_info().maxsize == 2
+
+
+def test_evaluated_norm_of_a_dense_211_matches_the_resultant():
+    # a full-width table: 105 rows of 105 exponents
+    a = CycElt(211, [random.Random(211).randint(-9, 9) for _ in range(210)])
+    window = ring._window(cleared(a)[1])[1]
+    assert min(len(window), 211 // 2 + 1) - 1 == 105 and _norm_route_of(a)[0]
+    by_evaluation, by_resultant = _both_routes(a)
+    assert by_evaluation == by_resultant == a.norm()
+
+
 def test_norm_route_choice_examples():
     rng = random.Random(131)
     dense = [CycElt(n, [rng.randint(-9, 9) for _ in range(totient(n))]) for n in (7, 47, 105, 211, 643)]
