@@ -13,26 +13,26 @@ comparison; those of denominator 1 are exactly the members of Z[zeta_n]
 (for prime-power n this ring is the full ring of integers; for other n
 the predicate means membership in Z[zeta_n], nothing more).
 
-Nothing divides polynomials over Q, and sums and products (over the lcm
-and the product of the denominators) run on ints.  The trace reads a table
-of Ramanujan sums.  The norm takes whichever of two routes a cost model,
-fitted to timings of both, says is cheaper (`_norm_route`).  Each reads the
-real element A * conj(A) = c_0 + sum c_k (zeta^k + zeta^-k) off the
-autocorrelation c of the coordinates, with no ring product.  Evaluation
-(dense elements): N(A) is the product of its values at the real conjugates
-of a Hensel-lifted root of unity modulo a prime power above the Parseval
-bound on N(A).  Resultant (sparse windows, large coordinates): the
-resultant of the theta-form of c with the minimal polynomial Psi_n of
-theta = zeta + 1/zeta, of half the degree of Phi_n, in the real subfield
-Q(zeta_n)+ of index 2; above phi(n) = MAX_REAL_NORM_PHI, where Psi_n's
-coefficients grow large, Res(Phi_n, A) instead.  The inverse tracks a
-cofactor along that subresultant sequence, which ends in an integer
+Nothing divides polynomials over Q, and sums and products (over the lcm and
+the product of the denominators) run on ints.  The trace sums a stride slice
+of the coordinates per divisor in the product form.  The norm takes
+whichever of two routes a cost model, fitted to timings of both, says is
+cheaper (`_norm_route`).  Each reads the real element A * conj(A) = c_0 +
+sum c_k (zeta^k + zeta^-k) off the autocorrelation c of the coordinates,
+with no ring product.  Evaluation (dense elements): N(A) is the product of
+its values at the real conjugates of a Hensel-lifted root of unity modulo a
+prime power above the Parseval bound on N(A).  Resultant (sparse windows,
+large coordinates): the resultant of the theta-form of c with the minimal
+polynomial Psi_n of theta = zeta + 1/zeta, of half the degree of Phi_n, in
+the real subfield Q(zeta_n)+ of index 2; above phi(n) = MAX_REAL_NORM_PHI,
+where Psi_n's coefficients grow large, Res(Phi_n, A) instead.  The inverse
+tracks a cofactor along that subresultant sequence, which ends in an integer
 c = t * g modulo f: a^-1 = conj(a) * t(zeta + 1/zeta) / c, or t / c.
 
 Everything is immutable and every operation is a pure function; the only
-shared state is the per-conductor Ramanujan-sum and Psi_n tables, primes
-l = 1 (mod n) and lifted roots of unity, and the last two exponent tables
-here, and the Phi_n and product-form caches in `polys`, all idempotent.
+shared state is the per-conductor Psi_n tables, primes l = 1 (mod n) and
+lifted roots of unity here, and the Phi_n and product-form caches in
+`polys`, all idempotent.
 
 >>> z = CycElt.zeta(5)
 >>> (1 + z) * (1 + z**4)
@@ -47,12 +47,11 @@ import functools
 import itertools
 import math
 import operator
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
-from .ntheory import check_odd_prime, divisors, factorize, is_prime, moebius, totient
+from .ntheory import check_odd_prime, factorize, is_prime
 from .polys import Poly, _list_from_str, _list_to_str, _mul_lists, _product_form, _scalar, _times_binomials
 from .polys import check_conductor, cyclotomic_poly, resultant, resultant_cofactor
 
@@ -109,15 +108,6 @@ def _galois_vec(n, vec, k):
         if c:
             raw[(i * k) % n] += c
     return _reduce(n, raw)
-
-
-@functools.cache
-def _ramanujan_sums(n):
-    """Tr(zeta^i) for i = 0 .. phi(n)-1: the Ramanujan sums c_n(i), by von
-    Sterneck's formula c_n(i) = moebius(n/g) * phi(n) / phi(n/g), g = gcd(i, n)."""
-    d = totient(n)
-    by_gcd = {g: moebius(n // g) * (d // totient(n // g)) for g in divisors(n)}
-    return tuple(by_gcd[math.gcd(i, n)] for i in range(d))
 
 
 def _theta_form(c):
@@ -287,17 +277,6 @@ def _lifted_root(n, e):
     return w, v
 
 
-@functools.lru_cache(maxsize=2)
-def _kept_conjugate_rows(n, lags):
-    """The rows m * k mod n, m = 1..lags, for k in 1..n/2 prime to n (one k
-    of each pair +-k of (Z/n)^*), as 4-byte arrays, kept for the last two
-    (n, lags): (phi(n)/2) * lags * 4 bytes, 3.1 MB for a dense n = 1759, and
-    as much again while they are built.  Row k is the stride-k slice of
-    0, 1, ..., n-1 repeated past lags * k."""
-    ramp = array("i", range(n)) * (lags // 2 + 1)
-    return tuple(ramp[k : (lags + 1) * k : k] for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
-
-
 def _evaluated_norm(n, d, a, squares, lag1):
     """N(A) for n >= 3 and d = phi(n), from the window a of A (`_window`).
 
@@ -307,8 +286,11 @@ def _evaluated_norm(n, d, a, squares, lag1):
     with l^e above the smaller bound.  With Phi_n(W) = 0 (mod M), checked,
     N(A) = prod B(W^k) (mod M) over k in (Z/n)^* modulo +-1, B(W^k) =
     c_0 + sum c_m (W^mk + W^-mk) the value of A * conj(A), c the
-    `_autocorrelation`: n/2 products for the sums W^j + W^-j, then len(c)
-    products of a small number by one below M per value."""
+    `_autocorrelation`: n/2 products for the sums s_j = W^j + W^-j, then
+    len(c) products of a small number by one below M per value.  As s_j has
+    period n, the value at k reads s_k, s_2k, ... as a stride-k slice of the
+    n sums repeated len(c)/2 + 1 times, a transient list of
+    n * (len(c)/2 + 1) references (3.1 million for a dense n = 5460)."""
     ell, _ = _prime_root(n)
     bound = (n * min(squares, 2 * (squares - lag1))) ** d // d**d  # N(A)^2 <= bound
     e = bound.bit_length() // (2 * ell.bit_length() - 2) + 1
@@ -329,8 +311,10 @@ def _evaluated_norm(n, d, a, squares, lag1):
     sums += sums[n - n // 2 - 1 : 0 : -1]  # s_(n-j) = s_j
     c = _autocorrelation(n, a, squares, lag1)
     c0, lags, norm = c[0], c[1:], 1
-    for row in _kept_conjugate_rows(n, len(lags)):
-        norm = norm * (c0 + sum(map(operator.mul, lags, map(sums.__getitem__, row)))) % mod
+    sums *= len(lags) // 2 + 1  # sums[m * k] = s_(mk mod n) for m <= len(lags), k < n/2
+    for k in range(1, (n + 1) // 2):
+        if math.gcd(k, n) == 1:  # one k of each pair +-k of (Z/n)^*
+            norm = norm * (c0 + sum(map(operator.mul, lags, sums[k : (len(lags) + 1) * k : k]))) % mod
     return norm
 
 
@@ -580,9 +564,13 @@ class CycElt:
         return r if m == 1 else _scalar(Fraction(r, m**d))
 
     def trace(self):
-        """Field trace down to Q: the sum of all Galois conjugates, taken
-        as sum c_i * Tr(zeta^i) with Tr(zeta^i) the Ramanujan sum c_n(i)."""
-        return _scalar(Fraction(sum(map(operator.mul, self._nums, _ramanujan_sums(self.n))), self._den))
+        """Field trace down to Q: the sum of all Galois conjugates, taken as
+        sum c_i * Tr(zeta^i) with Tr(zeta^i) the Ramanujan sum c_n(i) =
+        sum moebius(n/d) * d over d | gcd(i, n), that is sum moebius(n/d) * d *
+        (c_0 + c_d + c_2d + ...) over the divisors d of `_product_form`."""
+        nums, (_, ups, downs) = self._nums, _product_form(self.n)
+        total = sum(d * sum(nums[::d]) for d in ups) - sum(d * sum(nums[::d]) for d in downs)
+        return _scalar(Fraction(total, self._den))
 
     def inverse(self) -> "CycElt":
         """Multiplicative inverse, fraction-free, from the norm's resultant

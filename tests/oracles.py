@@ -4,8 +4,10 @@ Each oracle takes a different route than the library: brute-force
 counts, the Moebius product over sparse binomials, polynomial long
 division over Q, Phi_n by recursive exact division, the reduction modulo
 Phi_n by folding and dividing, Sylvester determinants via Bareiss
-elimination, Galois-conjugate folding, the factors of x^p + y^p folded
-back together, multiplication-matrix traces, the extended Euclidean
+elimination, Galois-conjugate folding, norms modulo a prime
+q = 1 (mod n) by the values at the n-th roots of unity mod q, the
+factors of x^p + y^p folded back together, multiplication-matrix traces,
+traces by von Sterneck's table of Ramanujan sums, the extended Euclidean
 inverse over Q, the inverse by a sequential cofactor product over the
 Galois conjugates and by doubling chains over the Galois orbits, roots
 of unity by a power per divisor of 2n, the Case I search by a
@@ -241,9 +243,37 @@ def folded_product(factors):
     return reduce(lambda u, v: u * v, factors)
 
 
+def residue_norm(a, q):
+    """N(a) mod q for integral a and a prime q = 1 (mod n): Phi_n splits
+    mod q as prod (X - omega^k) over k prime to n, omega of exact order n,
+    so N(a) = Res(Phi_n, a) = prod a(omega^k) (mod q), each value by Horner
+    from a's last nonzero coordinate down."""
+    n, top_down = a.n, a.as_poly().coeffs[::-1]
+    primes = [r for r, _ in factorize(n)]
+    roots = (pow(g, (q - 1) // n, q) for g in range(2, q))
+    omega = next(w for w in roots if all(pow(w, n // r, q) != 1 for r in primes))
+    out = 1
+    for k in range(1, n + 1):
+        if math.gcd(k, n) == 1:
+            x, value = pow(omega, k, q), 0
+            for c in top_down:
+                value = (value * x + c) % q
+            out = out * value % q
+    return out
+
+
 def mult_matrix_trace(a):
     """Trace of the phi(n) x phi(n) multiplication-by-a matrix."""
     return sum((a * zeta_pow(a.n, i)).coeffs[i] for i in range(totient(a.n)))
+
+
+def ramanujan_trace(a):
+    """Tr(a) as sum a_i * c_n(i), each Ramanujan sum from von Sterneck's
+    table c_n(i) = moebius(n/g) * phi(n) / phi(n/g), g = gcd(i, n): one gcd
+    per coordinate."""
+    n, d = a.n, totient(a.n)
+    by_gcd = {g: moebius_brute(n // g) * (d // totient(n // g)) for g in divisors(n)}
+    return _scalar(sum(c * by_gcd[math.gcd(i, n)] for i, c in enumerate(a.coeffs)))
 
 
 # -- inverse by an alternate route ----------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -11,7 +12,7 @@ import pytest
 
 from cyclo import polys, ring
 from cyclo.errors import ConductorMismatchError, InternalInvariantError, NotIntegralError
-from cyclo.ntheory import totient
+from cyclo.ntheory import is_prime, totient
 from cyclo.polys import MAX_CONDUCTOR, Poly, check_conductor, cyclotomic_poly, resultant
 from cyclo.ring import (
     CycElt,
@@ -31,7 +32,9 @@ from oracles import (
     mult_matrix_trace,
     orbit_chain_inverse,
     poly_divmod,
+    ramanujan_trace,
     rand_elt,
+    residue_norm,
     sequential_cofactor_inverse,
 )
 
@@ -305,9 +308,11 @@ def test_norm_trace_match_oracles():
             assert a.trace() == mult_matrix_trace(a)
 
 
-@pytest.mark.parametrize("n", (1, 2, 6, 10, 14, 18, 30))
+@pytest.mark.parametrize("n", (1, 2, 6, 10, 14, 18, 30, 8, 9, 27, 36, 49, 64, 100, 105, 210, 243, 256))
 def test_trace_edge_cases_match_oracle(n):
-    # n = 1, 2 and n = 2 mod 4, where Phi_n(X) = Phi_(n/2)(-X)
+    # n = 1, 2 and n = 2 mod 4, where Phi_n(X) = Phi_(n/2)(-X); n with a
+    # square factor, whose divisors d with moebius(n/d) = 0 have no stride
+    # slice; 105 and 210, with 8 and 16 slices, half of them subtracted
     rng = random.Random(53 + n)
     zero = CycElt.zero(n)
     assert zero.trace() == 0 and type(zero.trace()) is int
@@ -317,6 +322,17 @@ def test_trace_edge_cases_match_oracle(n):
             t = a.trace()
             assert t == mult_matrix_trace(a)
             assert type(t) is (int if Fraction(t).denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("n", (2310, 30030, 65536, 99990, 99991))
+def test_trace_at_large_conductors_matches_ramanujan_table(n):
+    # mult_matrix_trace takes phi(n) products of phi(n) places each here
+    rng = random.Random(n)
+    zero = CycElt.zero(n)
+    assert zero.trace() == ramanujan_trace(zero) == 0 and type(zero.trace()) is int
+    for a in (rand_elt(rng, n), rand_elt(rng, n, max_den=4), CycElt(n, [3, Fraction(-1, 2)]) * zeta_pow(n, n // 3)):
+        t, want = a.trace(), ramanujan_trace(a)
+        assert t == want and type(t) is type(want)
 
 
 def test_norm_trace_galois_invariant():
@@ -946,20 +962,23 @@ def test_lifted_root_is_a_root_of_phi_n_at_every_precision():
             assert sum(c * pow(w, i, mod) for i, c in enumerate(cyclotomic_poly(n).coeffs)) % mod == 0
 
 
-# (n, lags) at full width (n // 2) and short, tables of 115 to 254016 entries;
-# at 99991 the entries pass 65535, which a 2-byte array refuses
-@pytest.mark.parametrize("n,lags", [(47, 23), (47, 5), (211, 105), (211, 3), (1009, 504), (1009, 17), (99991, 3)])
-def test_kept_conjugate_rows_are_the_exponent_rows(n, lags):
-    rows = ring._kept_conjugate_rows(n, lags)
-    want = [[m * k % n for m in range(1, lags + 1)] for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1]
-    assert [list(row) for row in rows] == want
-    assert {row.itemsize for row in rows} == {4}
-    assert n < 65536 or max(map(max, rows)) > 65535
-    assert ring._kept_conjugate_rows.cache_info().maxsize == 2
+# dense elements at 1009 and at 5460, whose slice list of n * (lags // 2 + 1)
+# = 3.1 million references is the longest the cap admits, on the evaluation
+# route; at 99991, where the evaluation estimate of even 1 + zeta is over
+# 100 billion, a short window on the resultant route
+@pytest.mark.parametrize("n,evaluate", [(1009, True), (5460, True), (99991, False)])
+def test_norm_matches_the_residue_oracle(n, evaluate):
+    rng = random.Random(n)
+    a = CycElt(n, [rng.randint(-9, 9) for _ in range(totient(n))] if evaluate else [2, -1, 1])
+    route, work = _norm_route_of(a)
+    assert route == evaluate and work <= ring.MAX_NORM_WORK
+    ell, _ = ring._prime_root(n)
+    q = next(q for q in itertools.count(n + 1, n) if q != ell and is_prime(q))
+    assert a.norm() % q == residue_norm(a, q)
 
 
 def test_evaluated_norm_of_a_dense_211_matches_the_resultant():
-    # a full-width table: 105 rows of 105 exponents
+    # full width: 105 values at stride slices of 105 sums each
     a = CycElt(211, [random.Random(211).randint(-9, 9) for _ in range(210)])
     window = ring._window(cleared(a)[1])[1]
     assert min(len(window), 211 // 2 + 1) - 1 == 105 and _norm_route_of(a)[0]
@@ -1048,7 +1067,7 @@ def test_caches_are_thread_safe():
     elts = [rand_elt(rng, n, max_den=3) for n in (7, 9, 12, 15, 16, 20, 21)]
     assert all(_norm_route_of(a)[0] for a in elts)  # the norms take the evaluation
     serial = [(a.inverse(), a.trace(), a.norm(), is_root_of_unity(a)) for a in elts]
-    for cache in (ring._ramanujan_sums, ring._real_cyclotomic, ring._prime_root, ring._kept_conjugate_rows):
+    for cache in (ring._real_cyclotomic, ring._prime_root):
         cache.cache_clear()
     cyclotomic_poly.cache_clear()
     polys._product_form.cache_clear()
