@@ -55,21 +55,26 @@ _row: list[int] = [1]
 _lock = threading.Lock()
 
 
-def _extend_table() -> None:
-    """Advance _row two rows, then append B_2k.  Caller holds _lock."""
+def _extend_table(k: int) -> None:
+    """Grow the table through B_2k, taking _lock only when it is shorter: each
+    step advances _row two rows, then appends the next B_2j."""
+    if k < len(_table):
+        return
     row = _row
-    for _ in range(2):  # row n: 0, then the prefix sums of row n-1 read backwards
-        row.reverse()
-        row.insert(0, 0)
-        sums = accumulate(row)
-        for start in range(0, len(row), 256):  # in place: `sums` reads a block before it is written
-            row[start : start + 256] = islice(sums, 256)
-    k = len(_table)
-    q = 4**k
-    num, den = 2 * k * row[1], q * (q - 1)
-    g = gcd(num, den)
-    _denominators.append(den // g)
-    _table.append((num if k % 2 else -num) // g)
+    with _lock:
+        while k >= len(_table):
+            for _ in range(2):  # row n: 0, then the prefix sums of row n-1 read backwards
+                row.reverse()
+                row.insert(0, 0)
+                sums = accumulate(row)
+                for start in range(0, len(row), 256):  # in place: `sums` reads a block before it is written
+                    row[start : start + 256] = islice(sums, 256)
+            j = len(_table)
+            q = 4**j
+            num, den = 2 * j * row[1], q * (q - 1)
+            g = gcd(num, den)
+            _denominators.append(den // g)
+            _table.append((num if j % 2 else -num) // g)
 
 
 def bernoulli(m: int) -> Fraction:
@@ -85,10 +90,7 @@ def bernoulli(m: int) -> Fraction:
     if m % 2:
         return Fraction(-1, 2) if m == 1 else Fraction(0)
     k = m // 2
-    if k >= len(_table):
-        with _lock:
-            while k >= len(_table):
-                _extend_table()
+    _extend_table(k)
     return Fraction(_table[k], _denominators[k])
 
 
@@ -116,7 +118,7 @@ def irregular_pairs(p: int) -> list[tuple[int, int]]:
     _check_criterion_size(p)
     if p < 5 or not is_prime(p):
         raise ValueError("odd prime >= 5 required")
-    bernoulli(p - 3)  # extends the table through B_(p-3)
+    _extend_table((p - 3) // 2)
     divisible = map(not_, map(mod, _table[1 : (p - 1) // 2], repeat(p)))
     return [(p, k) for k in compress(count(2, 2), divisible)]
 

@@ -21,13 +21,14 @@ cheaper (`_norm_route`).  Each reads the real element A * conj(A) = c_0 +
 sum c_k (zeta^k + zeta^-k) off the autocorrelation c of the coordinates,
 with no ring product.  Evaluation (dense elements): N(A) is the product of
 its values at the real conjugates of a Hensel-lifted root of unity modulo a
-prime power above the Parseval bound on N(A).  Resultant (sparse windows,
-large coordinates): the resultant of the theta-form of c with the minimal
-polynomial Psi_n of theta = zeta + 1/zeta, of half the degree of Phi_n, in
-the real subfield Q(zeta_n)+ of index 2; above phi(n) = MAX_REAL_NORM_PHI,
-where Psi_n's coefficients grow large, Res(Phi_n, A) instead.  The inverse
-tracks a cofactor along that subresultant sequence, which ends in an integer
-c = t * g modulo f: a^-1 = conj(a) * t(zeta + 1/zeta) / c, or t / c.
+prime power above the Parseval bound on N(A) of `_window`.  Resultant
+(sparse windows, large coordinates): the resultant of the theta-form of c
+with the minimal polynomial Psi_n of theta = zeta + 1/zeta, of half the
+degree of Phi_n, in the real subfield Q(zeta_n)+ of index 2; above
+phi(n) = MAX_REAL_NORM_PHI, where Psi_n's coefficients grow large,
+Res(Phi_n, A) instead.  The inverse tracks a cofactor along that
+subresultant sequence, which ends in an integer c = t * g modulo f:
+a^-1 = conj(a) * t(zeta + 1/zeta) / c, or t / c.
 
 Everything is immutable and every operation is a pure function; the only
 shared state is the per-conductor Psi_n tables, primes l = 1 (mod n) and
@@ -161,24 +162,19 @@ MAX_REAL_NORM_PHI = 1000
 MAX_NORM_WORK = 600_000_000
 
 
-def _norm_work(n, d, a, real, squares, lag1):
+def _norm_work(n, d, a, real, s):
     """An estimate of the cost of the resultant that `norm` takes for the
-    windowed integer coordinates a (a[0], a[-1] != 0), with
-    squares = sum a_i^2 and lag1 = sum a_i * a_(i+1), in word operations
-    plus bits held.  m >= k are the degrees of the two polynomials and lead
-    the leading coefficient of the element's one.  The first
-    pseudo-remainder scales its m+1 entries by lead^(m-k+1), and the
-    subresultant chain makes about k^2 products of numbers as large as the
-    norm, whose size is bounded by d * log2 |B|_2 for B = A and for
-    B = A * (1 - zeta) (with N(1 - zeta) >= 1); the second is far smaller
-    for runs such as the cyclotomic unit 1 + zeta + ... + zeta^(j-1)."""
+    window a and size s of `_window`, in word operations plus bits held.
+    m >= k are the degrees of the two polynomials and lead the leading
+    coefficient of the element's one.  The first pseudo-remainder scales its
+    m+1 entries by lead^(m-k+1), and the subresultant chain makes about k^2
+    products of numbers as large as the norm, of about d * log2(s) / 2 bits."""
     if real:
         deg_f, deg_g, lead = d // 2, min(len(a), n // 2 + 1) - 1, a[0] * a[-1]
     else:
         deg_f, deg_g, lead = d, len(a) - 1, a[-1]
     m, k = max(deg_f, deg_g), min(deg_f, deg_g)
-    steps = 2 * (squares - lag1)  # |A * (1 - X)|_2^2
-    size = d * min(squares, steps).bit_length() // 2
+    size = d * s.bit_length() // 2
     if k == 0:  # a single power, squared in words with its decimal form
         return (1 + size // 64) ** 2
     lam = abs(lead).bit_length() - 1 if deg_g <= deg_f else 0
@@ -195,49 +191,56 @@ def _norm_work(n, d, a, real, squares, lag1):
 MAX_INVERSE_WORK = 250_000_000
 
 
-def _output_work(n, d, start, real, squares, lag1):
+def _output_work(n, d, start, real, s):
     """The word operations of `inverse` after the subresultant sequence, all
     of it for sparse elements with large coordinates: d gcds of numbers of
     `words` words, the norm's size bound; over the real subfield a product
     of d^2 and the reduction of its fewer than 2d places; over Phi_n the
     reduction of t / zeta^start, n places after the fold.  A reduction of k
     places takes at most k per factor of Phi_n's product form."""
-    words = 1 + d * min(squares, 2 * (squares - lag1)).bit_length() // 128
+    words = 1 + d * s.bit_length() // 128
     _, ups, downs = _product_form(n)
     passes = len(ups) + len(downs)
     clear = d * d + passes * min(n, 2 * d) if real else passes * n if start else 0
     return words * (d * words + clear)
 
 
-def _window(ints):
-    """(start, a, squares, lag1) for integer coordinates ints, not all zero:
-    a is the window of ints between its first (start) and last nonzero ones
-    (zeta^j has norm 1 for n >= 3), squares = sum a_i^2 and lag1 = sum
-    a_i * a_(i+1)."""
+def _window(n, ints):
+    """(start, a, s, real) for the integer coordinates ints of A in Q(zeta_n),
+    not all zero: a is the window of ints between its first (start) and last
+    nonzero ones (zeta^j has norm 1 for n >= 3); s is the smaller of
+    |A|_2^2 = sum a_i^2 and |A * (1 - zeta)|_2^2 = 2 (sum a_i^2 - sum
+    a_i * a_(i+1)), the second far smaller for runs such as the cyclotomic
+    unit 1 + zeta + ... + zeta^(j-1).  By Parseval over the n-th roots of
+    unity and AM-GM, 0 < N(A) <= (n s / d)^(d/2) for d = phi(n) and either
+    size, since N(1 - zeta) >= 1.  real: whether the norm and the inverse
+    work over the real subfield, n > 2 and d <= MAX_REAL_NORM_PHI."""
     nonzero = list(map(bool, ints))
     start = nonzero.index(True)
     a = ints[start : len(ints) - nonzero[::-1].index(True)]
-    return start, a, sum(map(operator.mul, a, a)), sum(map(operator.mul, a, a[1:]))
+    squares = sum(map(operator.mul, a, a))
+    s = min(squares, 2 * (squares - sum(map(operator.mul, a, a[1:]))))
+    return start, a, s, n > 2 and len(ints) <= MAX_REAL_NORM_PHI
 
 
-def _autocorrelation(n, a, squares, lag1):
+def _autocorrelation(n, a):
     """c with A * conj(A) = c_0 + sum c_k (zeta^k + zeta^-k) for the window a
     of A: c_k the autocorrelation sums, k > n/2 folded onto n - k."""
     half = n // 2
-    c = [squares, lag1][: len(a)] + [0] * (min(len(a), half + 1) - 2)
-    for k in range(2, len(a)):
+    c = [0] * min(len(a), half + 1)
+    for k in range(len(a)):
         c[k if k <= half else n - k] += sum(map(operator.mul, a, a[k:]))
     return c
 
 
-def _resultant_pair(n, a, real, squares, lag1):
+def _resultant_pair(n, a, real):
     """(f, g) with f monic and Res(f, g) = N(A) for the window a of the
     integer coordinates of A.  Over the real subfield (real, n > 2):
     A * conj(A) is the real element of `_autocorrelation`, so f = Psi_n and
     g is its theta-form; otherwise f = Phi_n and g the window."""
     if not real:
         return cyclotomic_poly(n), Poly(a)
-    return _real_cyclotomic(n), Poly(_theta_form(_autocorrelation(n, a, squares, lag1)))
+    return _real_cyclotomic(n), Poly(_theta_form(_autocorrelation(n, a)))
 
 
 @functools.cache
@@ -277,13 +280,11 @@ def _lifted_root(n, e):
     return w, v
 
 
-def _evaluated_norm(n, d, a, squares, lag1):
-    """N(A) for n >= 3 and d = phi(n), from the window a of A (`_window`).
+def _evaluated_norm(n, d, a, s):
+    """N(A) for n >= 3, d = phi(n), and the window a and size s of `_window`.
 
-    By Parseval over the n-th roots of unity and AM-GM, 0 < N(A) <=
-    (n s / d)^(d/2) for s = |A|_2^2 and for s = |A * (1 - zeta)|_2^2
-    (N(1 - zeta) >= 1), so N(A) is its residue modulo M = l^e, e the least
-    with l^e above the smaller bound.  With Phi_n(W) = 0 (mod M), checked,
+    As 0 < N(A) <= (n s / d)^(d/2), N(A) is its residue modulo M = l^e, e
+    the least with l^e above that bound.  With Phi_n(W) = 0 (mod M), checked,
     N(A) = prod B(W^k) (mod M) over k in (Z/n)^* modulo +-1, B(W^k) =
     c_0 + sum c_m (W^mk + W^-mk) the value of A * conj(A), c the
     `_autocorrelation`: n/2 products for the sums s_j = W^j + W^-j, then
@@ -292,7 +293,7 @@ def _evaluated_norm(n, d, a, squares, lag1):
     n sums repeated len(c)/2 + 1 times, a transient list of
     n * (len(c)/2 + 1) references (3.1 million for a dense n = 5460)."""
     ell, _ = _prime_root(n)
-    bound = (n * min(squares, 2 * (squares - lag1))) ** d // d**d  # N(A)^2 <= bound
+    bound = (n * s) ** d // d**d  # N(A)^2 <= bound
     e = bound.bit_length() // (2 * ell.bit_length() - 2) + 1
     ell2, mod2 = ell * ell, ell ** (2 * e)
     while mod2 // ell2 > bound:
@@ -309,7 +310,7 @@ def _evaluated_norm(n, d, a, squares, lag1):
     if (w * v - 1) % mod or (phi[d // 2] + sum(map(operator.mul, phi[d // 2 + 1 :], sums[1:]))) % mod:
         raise InternalInvariantError("the lifted root of unity is not a root of Phi_n modulo l^e")
     sums += sums[n - n // 2 - 1 : 0 : -1]  # s_(n-j) = s_j
-    c = _autocorrelation(n, a, squares, lag1)
+    c = _autocorrelation(n, a)
     c0, lags, norm = c[0], c[1:], 1
     sums *= len(lags) // 2 + 1  # sums[m * k] = s_(mk mod n) for m <= len(lags), k < n/2
     for k in range(1, (n + 1) // 2):
@@ -330,16 +331,16 @@ def _evaluation_work(n, d, lags, s):
     return (n + d) * (59 + 6 * w * w // 5) + d * lags * (35 + w * cw) + 370
 
 
-def _norm_route(n, d, a, squares, lag1):
+def _norm_route(n, d, a, real, s):
     """(evaluate, work): whether `norm` takes `_evaluated_norm` (n >= 3)
-    over the resultant, and the estimate of the route it takes.  The
-    comparison adds what `_norm_work`, a count of word operations, leaves
-    out: about 100 units per coefficient step of the resultant, 2000 a call."""
-    real = n > 2 and d <= MAX_REAL_NORM_PHI
-    work = _norm_work(n, d, a, real, squares, lag1)
+    over the resultant, for the window a, size s and real of `_window`, and
+    the estimate of the route it takes.  The comparison adds what
+    `_norm_work`, a count of word operations, leaves out: about 100 units
+    per coefficient step of the resultant, 2000 a call."""
+    work = _norm_work(n, d, a, real, s)
     if n > 2:
         lags = min(len(a), n // 2 + 1) - 1
-        evaluation = _evaluation_work(n, d, lags, min(squares, 2 * (squares - lag1)))
+        evaluation = _evaluation_work(n, d, lags, s)
         steps = d * lags // 2 if real else d * (len(a) - 1)
         if evaluation < work + 100 * steps + 2000:
             return True, evaluation
@@ -551,16 +552,13 @@ class CycElt:
             return 0
         n, m, ints = self.n, self._den, self._nums
         d = len(ints)
-        _, a, squares, lag1 = _window(ints)
-        evaluate, work = _norm_route(n, d, a, squares, lag1)
+        _, a, s, real = _window(n, ints)
+        evaluate, work = _norm_route(n, d, a, real, s)
         if m > 1:  # m^d, the quotient's gcd and its decimal form
             work += (1 + d * m.bit_length() // 64) ** 2
         if work > MAX_NORM_WORK:
             raise ValueError(f"norm work estimate exceeds {MAX_NORM_WORK}")
-        if evaluate:
-            r = _evaluated_norm(n, d, a, squares, lag1)
-        else:
-            r = resultant(*_resultant_pair(n, a, n > 2 and d <= MAX_REAL_NORM_PHI, squares, lag1))
+        r = _evaluated_norm(n, d, a, s) if evaluate else resultant(*_resultant_pair(n, a, real))
         return r if m == 1 else _scalar(Fraction(r, m**d))
 
     def trace(self):
@@ -591,14 +589,13 @@ class CycElt:
             raise ZeroDivisionError("division by zero")
         n, m, ints = self.n, self._den, self._nums
         d = len(ints)
-        start, a, squares, lag1 = _window(ints)
+        start, a, s, real = _window(n, ints)
         if len(a) == 1:
             return CycElt._of(n, _reduce(n, [0] * (-start % n) + [m]), a[0])
-        real = n > 2 and d <= MAX_REAL_NORM_PHI
-        work = _norm_work(n, d, a, real, squares, lag1) + _output_work(n, d, start, real, squares, lag1)
+        work = _norm_work(n, d, a, real, s) + _output_work(n, d, start, real, s)
         if work > MAX_INVERSE_WORK:
             raise ValueError(f"inverse work estimate exceeds {MAX_INVERSE_WORK}")
-        t, c = resultant_cofactor(*_resultant_pair(n, a, real, squares, lag1))
+        t, c = resultant_cofactor(*_resultant_pair(n, a, real))
         if real:
             # conj(A) / zeta^D, small integers: A_i sits at -i - D mod n
             bar = _reduce(n, [0] * ((2 - len(t) - len(ints)) % n) + [*reversed(ints)])

@@ -516,9 +516,10 @@ def _unit_literal(p, factors, seed):
 
 def _norm_route(text):
     """(evaluate, work / MAX_NORM_WORK) for the route that `norm` takes."""
-    _, ints = cleared(CycElt.parse(text))
-    _, window, squares, lag1 = ring._window(ints)
-    evaluate, work = ring._norm_route(int(text.split(":")[0]), len(ints), window, squares, lag1)
+    a = CycElt.parse(text)
+    _, ints = cleared(a)
+    _, window, s, real = ring._window(a.n, ints)
+    evaluate, work = ring._norm_route(a.n, len(ints), window, real, s)
     return evaluate, work / ring.MAX_NORM_WORK
 
 

@@ -164,6 +164,18 @@ def test_bernoulli_matches_recurrence_oracle(order):
         assert got == want and type(got) is type(want), m
 
 
+def test_irregular_pairs_never_call_bernoulli(monkeypatch):
+    def no_bernoulli(m):
+        raise AssertionError("irregular_pairs went through bernoulli")
+
+    monkeypatch.setattr(regularity, "bernoulli", no_bernoulli)
+    _cold_table()
+    for p in (37, 59, 67, 101, 103):
+        want = fraction_irregular_pairs(p, recurrence_bernoulli)
+        assert want and irregular_pairs(p) == want, p
+        assert len(regularity._table) == (p - 1) // 2, p  # B_0 through B_(p-3)
+
+
 def test_table_extends_safely_from_threads():
     targets = (150, 300, 450, 600)
     _cold_table()

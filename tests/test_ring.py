@@ -605,13 +605,8 @@ def test_mul_vecs_matches_fraction_schoolbook():
 def _inverse_work_of(a):
     """The estimate `inverse` checks against ring.MAX_INVERSE_WORK."""
     _, ints = cleared(a)
-    support = [i for i, c in enumerate(ints) if c]
-    d, window = len(ints), ints[support[0] : support[-1] + 1]
-    squares, lag1 = (sum(u * v for u, v in zip(window, window[k:])) for k in (0, 1))
-    real = a.n > 2 and d <= ring.MAX_REAL_NORM_PHI
-    return ring._norm_work(a.n, d, window, real, squares, lag1) + ring._output_work(
-        a.n, d, support[0], real, squares, lag1
-    )
+    d, (start, window, s, real) = len(ints), ring._window(a.n, ints)
+    return ring._norm_work(a.n, d, window, real, s) + ring._output_work(a.n, d, start, real, s)
 
 
 def test_inverse_refuses_large_work_before_any_product(monkeypatch):
@@ -642,12 +637,12 @@ def test_inverse_work_estimate_at_the_cap():
     # [1,2] at 1409 on the Phi_n route: words = 1 + 1408 * bits(5) // 128 = 34;
     # a window starting at 3 adds the reduction of t / zeta^3: n places, by
     # the 2 factors of Phi_1409 = (1 - X^1409) / (1 - X)
-    assert ring._output_work(1409, 1408, 0, False, 5, 2) == 34 * 1408 * 34
-    assert ring._output_work(1409, 1408, 3, False, 5, 2) == 34 * (1408 * 34 + 2 * 1409)
+    assert ring._output_work(1409, 1408, 0, False, 5) == 34 * 1408 * 34
+    assert ring._output_work(1409, 1408, 3, False, 5) == 34 * (1408 * 34 + 2 * 1409)
     # over the real subfield: a product of d^2 and the reduction of min(n, 2d) = 7 places by 2 factors
-    assert ring._output_work(7, 6, 0, True, 5, 2) == 1 * (6 * 1 + 36 + 2 * 7)
+    assert ring._output_work(7, 6, 0, True, 5) == 1 * (6 * 1 + 36 + 2 * 7)
     # 30030 has 64 factors; its reduction of t / zeta^start costs 64 * n per word
-    assert ring._output_work(30030, 5760, 1, False, 1, 0) == 46 * (5760 * 46 + 64 * 30030)
+    assert ring._output_work(30030, 5760, 1, False, 1) == 46 * (5760 * 46 + 64 * 30030)
     for lit in ("1409:[1,2]", "1423:[1,2]", "6006:[1,2]"):
         assert _inverse_work_of(CycElt.parse(lit)) * 50 < ring.MAX_INVERSE_WORK
     assert _inverse_work_of(CycElt(30030, [1, 2])) <= ring.MAX_INVERSE_WORK
@@ -662,23 +657,53 @@ def test_inverse_work_estimate_at_the_cap():
 def _norm_work_of(a):
     """`ring._norm_work` of an element, windowed the way `norm` windows it."""
     _, ints = cleared(a)
-    support = [i for i, c in enumerate(ints) if c]
-    d, window = len(ints), ints[support[0] : support[-1] + 1]
-    squares, lag1 = (sum(u * v for u, v in zip(window, window[k:])) for k in (0, 1))
-    return ring._norm_work(a.n, d, window, a.n > 2 and d <= ring.MAX_REAL_NORM_PHI, squares, lag1)
+    _, window, s, real = ring._window(a.n, ints)
+    return ring._norm_work(a.n, len(ints), window, real, s)
 
 
 def _norm_route_of(a):
     """`ring._norm_route` of an element, windowed the way `norm` windows it:
     (evaluate, work) for the route that `norm` takes."""
     _, ints = cleared(a)
-    _, window, squares, lag1 = ring._window(ints)
-    return ring._norm_route(a.n, len(ints), window, squares, lag1)
+    _, window, s, real = ring._window(a.n, ints)
+    return ring._norm_route(a.n, len(ints), window, real, s)
 
 
 def _binomial_unit(p, j):
     """(1 + zeta_p)^j, a unit of Z[zeta_p] for odd p, from its coordinates."""
     return CycElt(p, [math.comb(j, i) for i in range(j + 1)])
+
+
+def test_window_size_and_real_rule_match_their_definitions():
+    # s = min(|A|_2^2, |A * (1 - zeta)|_2^2), the second the sum of squared
+    # steps of the window with a zero at each end
+    rng = random.Random(113)
+    reals = set()
+    for n in (1, 2, 3, 7, 47, 1001, 1111, 1009, 2003):  # phi: 720, 1000 (the bound), 1008
+        d = totient(n)
+        elts = [
+            CycElt(n, [rng.randint(-9, 9) for _ in range(d)]),
+            CycElt(n, [7]),
+            CycElt(n, [0, 3]),
+            CycElt(n, [2, 0, -5]),
+            CycElt(n, [0] * (d // 2) + [4, -1, 1]),
+            _binomial_unit(n, min(30, d)),
+            CycElt(n, [1, 10**40]),
+        ]
+        for a in filter(None, elts):
+            ints = cleared(a)[1]
+            support = [i for i, c in enumerate(ints) if c]
+            window = ints[support[0] : support[-1] + 1]
+            padded = [0, *window, 0]
+            steps = sum((u - v) ** 2 for u, v in zip(padded[1:], padded))
+            s = min(sum(x * x for x in window), steps)
+            real = n > 2 and totient(n) <= ring.MAX_REAL_NORM_PHI
+            reals.add(real)
+            assert ring._window(n, ints) == (support[0], window, s, real), (n, a)
+    assert reals == {True, False}
+    # a run of binomial coefficients is bounded through A * (1 - zeta)
+    ints = cleared(_binomial_unit(47, 30))[1]
+    assert ring._window(47, ints)[2] < sum(x * x for x in ints)
 
 
 def test_norm_refuses_large_work_before_any_resultant(monkeypatch):
@@ -774,11 +799,11 @@ def test_norm_work_estimate_examples():
     # full route, k = 1: m = 4000, lead 2 (one bit per step), |A|_2^2 = 5 (3 bits)
     size = 4000 * 3 // 2
     w, w1 = 1 + (size + 3999) // 64, 1 + 4000 // 64
-    assert ring._norm_work(4001, 4000, [1, 2], False, 5, 2) == w * w + 4000 * w1 + 4001 * 4000 + size
+    assert ring._norm_work(4001, 4000, [1, 2], False, 5) == w * w + 4000 * w1 + 4001 * 4000 + size
     # real route: Psi_7 has degree 3; the window [1, 2] gives degree 1 and lead 1 * 2
     size = 6 * 3 // 2
     w, w1 = 1 + (size + 2) // 64, 1 + 3 // 64
-    assert ring._norm_work(7, 6, [1, 2], True, 5, 2) == w * w + 3 * w1 + 4 * 3 + size
+    assert ring._norm_work(7, 6, [1, 2], True, 5) == w * w + 3 * w1 + 4 * 3 + size
 
 
 def test_is_unit_examples():
@@ -895,12 +920,11 @@ def _both_routes(a):
     (evaluated, resultant), evaluated None for n <= 2."""
     m, ints = cleared(a)
     n, d = a.n, len(ints)
-    _, window, squares, lag1 = ring._window(ints)
-    real = n > 2 and d <= ring.MAX_REAL_NORM_PHI
-    by_resultant = resultant(*ring._resultant_pair(n, window, real, squares, lag1))
+    _, window, s, real = ring._window(n, ints)
+    by_resultant = resultant(*ring._resultant_pair(n, window, real))
     by_evaluation = None
     if n > 2:
-        by_evaluation = ring._evaluated_norm(n, d, window, squares, lag1)
+        by_evaluation = ring._evaluated_norm(n, d, window, s)
     return [None if r is None else polys._scalar(Fraction(r, m**d)) for r in (by_evaluation, by_resultant)]
 
 
@@ -932,7 +956,7 @@ def test_evaluated_norm_of_constants(p):
     # N(c) = c^(p-1) is within a factor sqrt(e) of the bound (p c^2 / (p-1))^((p-1)/2),
     # so a modulus one power of l short of the bound gives a wrong norm
     for c in (1, 2, -3, 5, 7, -10, 99, 2**40 + 1):
-        assert ring._evaluated_norm(p, p - 1, [c], c * c, 0) == c ** (p - 1), c
+        assert ring._evaluated_norm(p, p - 1, [c], c * c) == c ** (p - 1), c
         assert CycElt(p, [c]).norm() == c ** (p - 1)
 
 
@@ -980,7 +1004,7 @@ def test_norm_matches_the_residue_oracle(n, evaluate):
 def test_evaluated_norm_of_a_dense_211_matches_the_resultant():
     # full width: 105 values at stride slices of 105 sums each
     a = CycElt(211, [random.Random(211).randint(-9, 9) for _ in range(210)])
-    window = ring._window(cleared(a)[1])[1]
+    window = ring._window(211, cleared(a)[1])[1]
     assert min(len(window), 211 // 2 + 1) - 1 == 105 and _norm_route_of(a)[0]
     by_evaluation, by_resultant = _both_routes(a)
     assert by_evaluation == by_resultant == a.norm()
