@@ -626,6 +626,16 @@ def zeta_pow(n: int, j: int) -> CycElt:
     return CycElt(n, [0] * (j % check_conductor(n)) + [1])
 
 
+def _root_lookup(n):
+    """(l, powers, log): l and omega of `_prime_root(n)`, the n powers
+    omega^k (mod l), and log(v) = (sign, k) with v = sign * omega^k (mod l),
+    sign = 1 if v is a power, else -1 (k is None if -v is not one either)."""
+    ell, omega = _prime_root(n)
+    powers = list(itertools.accumulate(range(n - 1), lambda w, _: w * omega % ell, initial=1))
+    index = {w: k for k, w in enumerate(powers)}
+    return ell, powers, lambda v: (1, index[v % ell]) if v % ell in index else (-1, index.get(-v % ell))
+
+
 def is_root_of_unity(a: CycElt):
     """(True, order) for the minimal m with a^m = 1, else (False, None).
 
@@ -641,12 +651,8 @@ def is_root_of_unity(a: CycElt):
     n = a.n
     if not a.is_integral():
         return False, None
-    ell, omega = _prime_root(n)
-    powers = list(itertools.accumulate(range(n - 1), lambda w, _: w * omega % ell, initial=1))
-    value = sum(c % ell * w for c, w in zip(a.coeffs, powers)) % ell
-    index = {w: k for k, w in enumerate(powers)}
-    sign = 1 if value in index else -1
-    k = index.get(sign * value % ell)
+    ell, powers, log = _root_lookup(n)
+    sign, k = log(sum(c % ell * w for c, w in zip(a.coeffs, powers)))
     if k is None or a.coeffs != tuple(sign * c for c in zeta_pow(n, k).coeffs):
         return False, None
     return True, 2 * n // math.gcd(2 * n, 2 * k + n * (sign < 0))
@@ -665,26 +671,20 @@ def decompose_unit(u: CycElt) -> UnitDecomposition:
     with x a real unit and m in [0, p).
 
     The quotient u / conj(u) is a root of unity; for odd p it is always a
-    plain power zeta^e, and m solves 2m = e (mod p).  e is found without
-    division: padded to length p (mod X^p - 1), zeta^e * conj(u) is conj(u)
-    rotated by e, and two length-p vectors are equal in Q(zeta_p) exactly
-    when their difference is constant.  All postconditions are re-verified
+    plain power zeta^e, and m solves 2m = e (mod p).  By the residue map of
+    `is_root_of_unity`, u(omega) = omega^e * u(omega^-1) (mod l) names e in
+    O(p), with no ring product; only a lookup of -omega^e or of nothing is
+    checked exactly, to name the failure.  All postconditions are re-verified
     before returning, so a bug cannot masquerade as the classical argument.
     """
     p = check_odd_prime(u.n)
     if not u.is_unit():
         raise ValueError("not a unit of Z[zeta]")
-    pad = list(u.coeffs) + [0]
-    bar = [pad[-i % p] for i in range(p)]
-
-    def equal_up_to_constant(e, sign):
-        # u == sign * zeta^e * conj(u); a mismatch usually shows in a few terms
-        c = pad[0] - sign * bar[-e]
-        return all(pad[i] - sign * bar[i - e] == c for i in range(1, p))
-
-    e = next((j for j in range(p) if equal_up_to_constant(j, 1)), None)
-    if e is None:
-        if any(equal_up_to_constant(j, -1) for j in range(p)):
+    ell, powers, log = _root_lookup(p)
+    image, image_bar = (sum(c % ell * powers[i * j % p] for i, c in enumerate(u.coeffs)) for j in (1, -1))
+    sign, e = log(image * pow(image_bar, ell - 2, ell))
+    if sign < 0:
+        if e is not None and u == -zeta_pow(p, e) * u.conj():
             raise InternalInvariantError("decomposition impossible")
         raise InternalInvariantError("unit conjugate quotient is not a root of unity")
     m = (e * pow(2, -1, p)) % p

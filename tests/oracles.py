@@ -10,8 +10,9 @@ factors of x^p + y^p folded back together, multiplication-matrix traces,
 traces by von Sterneck's table of Ramanujan sums, the extended Euclidean
 inverse over Q, the inverse by a sequential cofactor product over the
 Galois conjugates and by doubling chains over the Galois orbits, roots
-of unity by a power per divisor of 2n, the Case I search by a
-binary-search p-th root per pair and by a z-pointer over every pair, its
+of unity by a power per divisor of 2n, the exponent of u / conj(u) by
+the rotations of conj(u), the Case I search by a binary-search p-th
+root per pair and by a z-pointer over every pair, its
 sieve by a mask looked up by x^p mod q for each x, its size cut by a
 pointer walked per chunk and its pruned count x by x, Bernoulli
 numbers by the defining recurrence over Fractions, irregular pairs by
@@ -388,6 +389,29 @@ def divisor_scan_root_of_unity(a):
         if a**m == one:
             return True, m
     return False, None
+
+
+def rotation_exponent(u):
+    """e with u = zeta^e * conj(u) for a unit u of Z[zeta_p], p an odd prime:
+    padded to length p (mod X^p - 1), zeta^e * conj(u) is conj(u) rotated by
+    e, and two length-p vectors are equal in Q(zeta_p) exactly when their
+    difference is constant, so each rotation is compared in turn (O(p^2)).
+    Raises InternalInvariantError when no rotation of +-conj(u) matches."""
+    p = u.n
+    pad = list(u.coeffs) + [0]
+    bar = [pad[-i % p] for i in range(p)]
+
+    def equal_up_to_constant(e, sign):
+        # u == sign * zeta^e * conj(u); a mismatch usually shows in a few terms
+        c = pad[0] - sign * bar[-e]
+        return all(pad[i] - sign * bar[i - e] == c for i in range(1, p))
+
+    e = next((j for j in range(p) if equal_up_to_constant(j, 1)), None)
+    if e is None:
+        if any(equal_up_to_constant(j, -1) for j in range(p)):
+            raise InternalInvariantError("decomposition impossible")
+        raise InternalInvariantError("unit conjugate quotient is not a root of unity")
+    return e
 
 
 # -- Case I search by bisection roots --------------------------------------------

@@ -35,6 +35,7 @@ from oracles import (
     ramanujan_trace,
     rand_elt,
     residue_norm,
+    rotation_exponent,
     sequential_cofactor_inverse,
 )
 
@@ -1190,6 +1191,30 @@ def test_decompose_unit_matches_brute_force(p):
         d = decompose_unit(u)
         assert [m for m in range(p) if (u * zeta_pow(p, -m)).is_real()] == [d.m]
         assert d.x * z**d.m == u
+
+
+def _seeded_units(p, rng):
+    """Products of 0 to 3 cyclotomic units, and 1 + zeta^k and (p > 3)
+    1 + zeta^k + zeta^2k, each times a random +-zeta^j."""
+    units = []
+    for _ in range(6):
+        u = CycElt.one(p)
+        for _ in range(rng.randint(0, 3)):
+            u = u * cyclotomic_unit(p, rng.randint(2, p - 1))
+        units.append(u)
+    for terms in range(2, min(p, 4)):
+        k = rng.randrange(1, p)
+        units.append(sum(zeta_pow(p, i * k) for i in range(terms)))
+    return [rng.choice((1, -1)) * zeta_pow(p, rng.randrange(p)) * u for u in units]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 47, 211, 1009, 1409])
+def test_decompose_unit_matches_rotation_scan(p):
+    # m = e / 2 for u = zeta^e * conj(u), with e from comparing u with each
+    # rotation of conj(u); at 1409, (1 - zeta^704) / (1 - zeta) has long runs
+    units = [CycElt(p, [1] * 704)] if p == 1409 else _seeded_units(p, random.Random(131 + p))
+    for u in units:
+        assert decompose_unit(u).m == rotation_exponent(u) * pow(2, -1, p) % p, (p, u)
 
 
 def test_decompose_unit_error_branches(monkeypatch):
