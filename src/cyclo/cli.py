@@ -29,7 +29,7 @@ from .regularity import MAX_INDEX, bernoulli, irregular_pairs, is_regular_prime
 from .errors import InternalInvariantError
 from .fermat import case_i_search, check_regular_and_search
 from .ntheory import is_prime, totient
-from .polys import cyclotomic_poly, discr_prime_pow, discriminant, poly_to_str
+from .polys import cyclotomic_poly, discr_prime_pow, discriminant
 from .ring import CycElt, _check_factor_work, _check_mul_work, decompose_unit, factor_sum_pth_powers
 from .ring import parse_literal
 
@@ -69,7 +69,7 @@ def _fmt_pairs(pairs):
 
 def _cmd_poly(args):
     f = cyclotomic_poly(args.n)
-    s = poly_to_str(f)
+    s = str(f)
     return {"n": args.n}, {"degree": f.degree, "coefficients": s}, [s], s
 
 

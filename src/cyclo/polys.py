@@ -36,7 +36,6 @@ __all__ = [
     "discriminant",
     "parse_scalar",
     "poly_from_str",
-    "poly_to_str",
     "resultant",
     "resultant_cofactor",
 ]
@@ -103,7 +102,8 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
     def __str__(self):
-        return poly_to_str(self)
+        """Coefficient-list text, low-to-high: X^2 - 1 prints as `[-1,0,1]`."""
+        return _list_to_str(self.coeffs)
 
     @staticmethod
     def _coerce(other):
@@ -404,11 +404,6 @@ def _list_from_str(text: str, kind: str) -> list:
     return [parse_scalar(tok) for tok in body.split(",")] if body else []
 
 
-def poly_to_str(f: Poly) -> str:
-    """Coefficient-list text, low-to-high: X^2 - 1 prints as `[-1,0,1]`."""
-    return _list_to_str(f.coeffs)
-
-
 def poly_from_str(text: str) -> Poly:
-    """Parse the coefficient-list text format (inverse of poly_to_str)."""
+    """Parse the coefficient-list text format (inverse of `str`)."""
     return Poly(_list_from_str(text, "polynomial"))

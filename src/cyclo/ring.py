@@ -67,7 +67,6 @@ __all__ = [
     "factor_sum_pth_powers",
     "is_root_of_unity",
     "parse_literal",
-    "zeta_pow",
 ]
 
 
@@ -364,8 +363,9 @@ class CycElt:
 
     The constructor accepts a scalar or any-length coordinate sequence and
     reduces it modulo the n-th cyclotomic polynomial, so it doubles as the
-    canonicalization map.  Stored, and operated on, as ints `_nums` over one
-    denominator `_den` >= 1 in lowest terms; `coeffs` shows ints and Fractions.
+    canonicalization map: CycElt(n) is 0 and CycElt(n, 1) is 1.  Stored, and
+    operated on, as ints `_nums` over one denominator `_den` >= 1 in lowest
+    terms; `coeffs` shows ints and Fractions.
     """
 
     __slots__ = ("n", "_nums", "_den")
@@ -403,16 +403,13 @@ class CycElt:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, (1,))
-
-    @classmethod
     def zeta(cls, n, j=1):
-        return zeta_pow(n, j)
+        """zeta_n^j in canonical form (j is taken mod n).
+
+        >>> CycElt.zeta(4, -1)
+        CycElt.parse('4:[0,-1]')
+        """
+        return cls(n, [0] * (j % check_conductor(n)) + [1])
 
     @classmethod
     def parse(cls, text: str) -> "CycElt":
@@ -494,20 +491,16 @@ class CycElt:
     def __pow__(self, k):
         if not isinstance(k, int):
             raise ValueError("exponent must be an integer")
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = CycElt.one(self.n)
+        base, k = (self, k) if k >= 0 else (self.inverse(), -k)
+        result = CycElt(self.n, 1)
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
-            k >>= 1
+            if k := k >> 1:
+                base = base * base
         return result
 
     # -- field structure ---------------------------------------------------
-
-    def as_poly(self) -> Poly:
-        return Poly(self.coeffs)
 
     def as_scalar(self):
         """The rational value, if the element lies in Q; error otherwise."""
@@ -621,11 +614,6 @@ def parse_literal(text: str) -> tuple[int, list]:
         raise ValueError(f"malformed element literal: {text!r}") from exc
 
 
-def zeta_pow(n: int, j: int) -> CycElt:
-    """zeta_n^j in canonical form (j is taken mod n)."""
-    return CycElt(n, [0] * (j % check_conductor(n)) + [1])
-
-
 def _root_lookup(n):
     """(l, powers, log): l and omega of `_prime_root(n)`, the n powers
     omega^k (mod l), and log(v) = (sign, k) with v = sign * omega^k (mod l),
@@ -653,7 +641,7 @@ def is_root_of_unity(a: CycElt):
         return False, None
     ell, powers, log = _root_lookup(n)
     sign, k = log(sum(c % ell * w for c, w in zip(a.coeffs, powers)))
-    if k is None or a.coeffs != tuple(sign * c for c in zeta_pow(n, k).coeffs):
+    if k is None or a.coeffs != tuple(sign * c for c in CycElt.zeta(n, k).coeffs):
         return False, None
     return True, 2 * n // math.gcd(2 * n, 2 * k + n * (sign < 0))
 
@@ -684,12 +672,12 @@ def decompose_unit(u: CycElt) -> UnitDecomposition:
     image, image_bar = (sum(c % ell * powers[i * j % p] for i, c in enumerate(u.coeffs)) for j in (1, -1))
     sign, e = log(image * pow(image_bar, ell - 2, ell))
     if sign < 0:
-        if e is not None and u == -zeta_pow(p, e) * u.conj():
+        if e is not None and u == -CycElt.zeta(p, e) * u.conj():
             raise InternalInvariantError("decomposition impossible")
         raise InternalInvariantError("unit conjugate quotient is not a root of unity")
     m = (e * pow(2, -1, p)) % p
-    x = u * zeta_pow(p, -m)
-    if not (x.is_real() and x.is_unit() and x * zeta_pow(p, m) == u):
+    x = u * CycElt.zeta(p, -m)
+    if not (x.is_real() and x.is_unit() and x * CycElt.zeta(p, m) == u):
         raise InternalInvariantError("unit decomposition postcondition failed")
     return UnitDecomposition(x=x, m=m)
 

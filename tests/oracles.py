@@ -29,7 +29,7 @@ from cyclo.errors import InternalInvariantError
 from cyclo.fermat import SearchReport
 from cyclo.ntheory import divisors, factorize, totient
 from cyclo.polys import Poly, _scalar, cyclotomic_poly
-from cyclo.ring import CycElt, _galois_vec, _mul_vecs, zeta_pow
+from cyclo.ring import CycElt, _galois_vec, _mul_vecs
 
 
 def phi_brute(n):
@@ -249,7 +249,7 @@ def residue_norm(a, q):
     mod q as prod (X - omega^k) over k prime to n, omega of exact order n,
     so N(a) = Res(Phi_n, a) = prod a(omega^k) (mod q), each value by Horner
     from a's last nonzero coordinate down."""
-    n, top_down = a.n, a.as_poly().coeffs[::-1]
+    n, top_down = a.n, Poly(a.coeffs).coeffs[::-1]
     primes = [r for r, _ in factorize(n)]
     roots = (pow(g, (q - 1) // n, q) for g in range(2, q))
     omega = next(w for w in roots if all(pow(w, n // r, q) != 1 for r in primes))
@@ -265,7 +265,7 @@ def residue_norm(a, q):
 
 def mult_matrix_trace(a):
     """Trace of the phi(n) x phi(n) multiplication-by-a matrix."""
-    return sum((a * zeta_pow(a.n, i)).coeffs[i] for i in range(totient(a.n)))
+    return sum((a * CycElt.zeta(a.n, i)).coeffs[i] for i in range(totient(a.n)))
 
 
 def ramanujan_trace(a):
@@ -292,7 +292,7 @@ def euclid_inverse(a):
     against the (irreducible) n-th cyclotomic polynomial."""
     if not a:
         raise ZeroDivisionError("division by zero")
-    r0, r1 = cyclotomic_poly(a.n), a.as_poly()
+    r0, r1 = cyclotomic_poly(a.n), Poly(a.coeffs)
     t0, t1 = Poly(), Poly([1])
     while r1.degree > 0:
         q, r = poly_divmod(r0, r1)
@@ -313,7 +313,7 @@ def sequential_cofactor_inverse(a):
     n = a.n
     m, ints = cleared(a)
     a = CycElt(n, ints)
-    cof = CycElt.one(n)
+    cof = CycElt(n, 1)
     for k in range(2, n):
         if math.gcd(k, n) == 1:
             cof = cof * a.galois(k)
@@ -384,7 +384,7 @@ def orbit_chain_inverse(a):
 def divisor_scan_root_of_unity(a):
     """(True, order) for the least m dividing 2n with a^m = 1, else
     (False, None): a power of a for every divisor of 2n."""
-    one = CycElt.one(a.n)
+    one = CycElt(a.n, 1)
     for m in divisors(2 * a.n):
         if a**m == one:
             return True, m

@@ -20,9 +20,9 @@ from cyclo import ring
 from cyclo.cli import run, to_json
 from cyclo.errors import InternalInvariantError
 from cyclo.ntheory import is_prime
-from cyclo.polys import Poly, poly_to_str
+from cyclo.polys import Poly
 from cyclo.regularity import bernoulli
-from cyclo.ring import CycElt, factor_sum_pth_powers, zeta_pow
+from cyclo.ring import CycElt, factor_sum_pth_powers
 from oracles import cleared, folded_product, format_scalar
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,7 +177,7 @@ def test_scalar_text_matches_the_per_coordinate_formatter(capsys):
             assert str(a) == f"{n}:[" + ",".join(format_scalar(Fraction(c, den)) for c in ints) + "]"
             while raw and not raw[-1]:
                 raw.pop()
-            assert poly_to_str(Poly(raw)) == "[" + ",".join(map(format_scalar, raw)) + "]"
+            assert str(Poly(raw)) == "[" + ",".join(map(format_scalar, raw)) + "]"
             literal = f"{n}:[" + ",".join(texts) + "]"
             for op, value in (("norm", a.norm()), ("trace", a.trace())):
                 assert _scalar_outputs(capsys, ["elt", op, literal]) == (format_scalar(value),) * 3
@@ -381,7 +381,7 @@ def test_commands_at_the_inverse_cap_end_within_budget(capsys, argv):
     "literal,want",
     [
         ("30030:[5/3]", CycElt(30030, Fraction(3, 5))),
-        ("30030:[0,0,0,2]", zeta_pow(30030, -3) * Fraction(1, 2)),
+        ("30030:[0,0,0,2]", CycElt.zeta(30030, -3) * Fraction(1, 2)),
     ],
 )
 def test_monomials_invert_at_large_conductors(capsys, literal, want):
@@ -458,7 +458,7 @@ def test_factor_check_agrees_with_the_fold(monkeypatch, p):
             continue  # factor 0 is zero, so the fold cannot see a change elsewhere
         k, j = rng.randrange(p), rng.randrange(p - 1)
         bad = list(factors)
-        bad[k] = bad[k] + zeta_pow(p, j)
+        bad[k] = bad[k] + CycElt.zeta(p, j)
         monkeypatch.setattr(cli, "factor_sum_pth_powers", lambda *_: bad)
         with pytest.raises(InternalInvariantError, match=f"factor {k} "):
             cli._cmd_factor(args)
@@ -508,7 +508,7 @@ def test_norm_at_the_norm_cap_ends_within_budget(capsys):
 def _unit_literal(p, factors, seed):
     """A product of cyclotomic units 1 + zeta + ... + zeta^(j-1) of Z[zeta_p]."""
     rng = random.Random(seed)
-    u = CycElt.one(p)
+    u = CycElt(p, 1)
     for _ in range(factors):
         u = u * CycElt(p, [1] * rng.randint(2, p - 1))
     return str(u)

@@ -16,7 +16,6 @@ from cyclo.polys import (
     discr_prime_pow,
     discriminant,
     poly_from_str,
-    poly_to_str,
     resultant,
     resultant_cofactor,
 )
@@ -410,7 +409,7 @@ def test_discr_sign_pattern_odd_p():
     ["[-1,1]", "[]", "[5]", "[1/2,-3,7/4]", "[-1,0,1]"],
 )
 def test_poly_text_roundtrip(text):
-    assert poly_to_str(poly_from_str(text)) == text
+    assert str(poly_from_str(text)) == text
 
 
 def test_poly_text_rejects_garbage():

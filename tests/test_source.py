@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,10 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+@pytest.mark.parametrize("path", [SRC / "__init__.py", *MODULES], ids=lambda path: path.name)
+def test_every_exported_name_exists(path):
+    name = "cyclo" if path.name == "__init__.py" else f"cyclo.{path.stem}"
+    module = importlib.import_module(name)
+    assert [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)] == []
