@@ -13,22 +13,22 @@ comparison; those of denominator 1 are exactly the members of Z[zeta_n]
 (for prime-power n this ring is the full ring of integers; for other n
 the predicate means membership in Z[zeta_n], nothing more).
 
-Nothing divides polynomials over Q, and sums and products (over the lcm and
-the product of the denominators) run on ints.  The trace sums a stride slice
-of the coordinates per divisor in the product form.  The norm takes
-whichever of two routes a cost model, fitted to timings of both, says is
-cheaper (`_norm_route`).  Each reads the real element A * conj(A) = c_0 +
-sum c_k (zeta^k + zeta^-k) off the autocorrelation c of the coordinates,
-with no ring product.  Evaluation (dense elements): N(A) is the product of
-its values at the real conjugates of a Hensel-lifted root of unity modulo a
-prime power above the Parseval bound on N(A) of `_window`.  Resultant
-(sparse windows, large coordinates): the resultant of the theta-form of c
-with the minimal polynomial Psi_n of theta = zeta + 1/zeta, of half the
-degree of Phi_n, in the real subfield Q(zeta_n)+ of index 2; above
-phi(n) = MAX_REAL_NORM_PHI, where Psi_n's coefficients grow large,
-Res(Phi_n, A) instead.  The inverse tracks a cofactor along that
-subresultant sequence, which ends in an integer c = t * g modulo f:
-a^-1 = conj(a) * t(zeta + 1/zeta) / c, or t / c.
+Nothing divides polynomials over Q; sums and products (over the lcm and the
+product of the denominators) run on ints, products by `polys._mul_lists`
+(one big-int product when dense).  The trace sums a stride slice of the
+coordinates per divisor in the product form.  The norm takes whichever of
+two routes a cost model, fitted to timings of both, says is cheaper
+(`_norm_route`).  Each reads the real element A * conj(A) = c_0 + sum c_k
+(zeta^k + zeta^-k) off the autocorrelation c, the coordinates times their
+reverse.  Evaluation (dense elements): N(A) is the product of its values at
+the real conjugates of a Hensel-lifted root of unity modulo a prime power
+above the Parseval bound on N(A) of `_window`.  Resultant (sparse windows,
+large coordinates): the resultant of the theta-form of c with the minimal
+polynomial Psi_n of theta = zeta + 1/zeta, of half the degree of Phi_n, in
+the real subfield Q(zeta_n)+ of index 2; above phi(n) = MAX_REAL_NORM_PHI,
+where Psi_n's coefficients grow large, Res(Phi_n, A) instead.  The inverse
+tracks a cofactor along that subresultant sequence, which ends in an
+integer c = t * g modulo f: a^-1 = conj(a) * t(zeta + 1/zeta) / c, or t / c.
 
 Everything is immutable and every operation is a pure function; the only
 shared state is the per-conductor Psi_n tables, primes l = 1 (mod n) and
@@ -224,11 +224,11 @@ def _window(n, ints):
 
 def _autocorrelation(n, a):
     """c with A * conj(A) = c_0 + sum c_k (zeta^k + zeta^-k) for the window a
-    of A: c_k the autocorrelation sums, k > n/2 folded onto n - k."""
-    half = n // 2
-    c = [0] * min(len(a), half + 1)
-    for k in range(len(a)):
-        c[k if k <= half else n - k] += sum(map(operator.mul, a, a[k:]))
+    of A: c_k = (a * reversed a)[len(a) - 1 + k], k > n/2 folded onto n - k."""
+    sums = _mul_lists(a, a[::-1])[len(a) - 1 :]
+    c = sums[: n // 2 + 1]
+    for k in range(n // 2 + 1, len(sums)):
+        c[n - k] += sums[k]
     return c
 
 
@@ -687,7 +687,7 @@ def decompose_unit(u: CycElt) -> UnitDecomposition:
 # billion of it: the most for 3000 coordinates of 100 bits at 99991, the least
 # for 100-300 coordinates of 6400-14000 bits.  Just inside the limit (0.98 of
 # it) two 4950-coordinate literals of 101 bits at 99991 took 4.3-5.0 s; two
-# dense 10000-coordinate literals of +-9 (12.1 s) are refused.
+# dense 10000-coordinate literals of +-9 (25 ms, packed) are still refused.
 MAX_MUL_WORK = 600_000_000
 
 

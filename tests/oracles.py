@@ -1,11 +1,12 @@
 """Independent reference implementations used to derive expected values.
 
 Each oracle takes a different route than the library: brute-force
-counts, the Moebius product over sparse binomials, polynomial long
-division over Q, Phi_n by recursive exact division, the reduction modulo
-Phi_n by folding and dividing, Sylvester determinants via Bareiss
-elimination, Galois-conjugate folding, norms modulo a prime
-q = 1 (mod n) by the values at the n-th roots of unity mod q, the
+counts, coefficient products by a double loop over every pair and
+autocorrelations one lag at a time, the Moebius product over sparse
+binomials, polynomial long division over Q, Phi_n by recursive exact
+division, the reduction modulo Phi_n by folding and dividing, Sylvester
+determinants via Bareiss elimination, Galois-conjugate folding, norms
+modulo a prime q = 1 (mod n) by the values at the n-th roots of unity mod q, the
 factors of x^p + y^p folded back together, multiplication-matrix traces,
 traces by von Sterneck's table of Ramanujan sums, the extended Euclidean
 inverse over Q, the inverse by a sequential cofactor product over the
@@ -22,6 +23,7 @@ They are deliberately slow and simple.
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -227,6 +229,29 @@ def sylvester_resultant(f, g):
     M = [[0] * i + fc + [0] * (size - i - len(fc)) for i in range(n)]
     M += [[0] * i + gc + [0] * (size - i - len(gc)) for i in range(m)]
     return bareiss_det(M)
+
+
+# -- coefficient convolutions --------------------------------------------------
+
+
+def schoolbook_product(a, b):
+    """The product of coefficient lists a and b, every pair of entries, zeros
+    included."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def autocorrelation(n, a):
+    """c_k = sum a[i] * a[i + k], one lag k at a time, k > n/2 folded onto
+    n - k: A * conj(A) = c_0 + sum c_k (zeta^k + zeta^-k) for the window a."""
+    half = n // 2
+    c = [0] * min(len(a), half + 1)
+    for k in range(len(a)):
+        c[k if k <= half else n - k] += sum(map(operator.mul, a, a[k:]))
+    return c
 
 
 # -- norm and trace by alternate routes ---------------------------------------

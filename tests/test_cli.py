@@ -343,7 +343,7 @@ def test_oversized_inputs_are_refused_before_work(capsys):
         ["unit-decompose", "99991", "99991:[1,2]"],
         # 99991 factors of 99990 coordinates each
         ["factor", "99991", "1", "1"],
-        # two dense 10000-coordinate literals: 12.1 s of products
+        # two dense 10000-coordinate literals: 12.1 s by the loop, still refused
         ["elt", "mul", _seeded_literal(99991, 10000, 9), _seeded_literal(99991, 10000, 9)],
     ]
     start = time.monotonic()

@@ -1,5 +1,7 @@
+import math
 import operator
 import random
+import struct
 import tracemalloc
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from oracles import (
     poly_eval,
     poly_pow,
     recursive_cyclotomic,
+    schoolbook_product,
     sylvester_resultant,
 )
 
@@ -96,6 +99,102 @@ def test_divmod_contract_on_randoms():
 def test_division_by_zero_poly():
     with pytest.raises(ZeroDivisionError):
         poly_divmod(X, Poly())
+
+
+# -- the coefficient product: packed and looped routes --------------------------
+
+# a bound max|a| * max|b| * min(len a, len b) and the struct code of the slots
+# that hold it; 2^63 and above take the loop
+SLOT_EDGES = [
+    (2**7 - 1, "b"),
+    (2**7, "h"),
+    (2**15 - 1, "h"),
+    (2**15, "i"),
+    (2**31 - 1, "i"),
+    (2**31, "q"),
+    (2**63 - 1, "q"),
+    (2**63, None),
+]
+
+
+def _signed(rng, length, bits, zeros=0.3):
+    return [rng.randint(-(2**bits), 2**bits) if rng.random() >= zeros else 0 for _ in range(length)]
+
+
+def _product_cases():
+    """Seeded signed pairs: empty, all-zero and one-term lists, 1 x 300 and
+    2 x 300, runs of 8 equal entries whose middle product entry is +-B at or
+    just below each slot edge, and random lengths, sizes and zeros."""
+    rng = random.Random(27)
+    cases = [([], []), ([], [3, 1]), ([0], [0]), ([0, 0, 0], [0, 0]), ([0, 0, 0], [5, -3]), ([7], [-3])]
+    cases += [([0, 0, 4, 0], [-2, 0, 9]), ([-9], _signed(rng, 40, 4)), (_signed(rng, 1, 8), _signed(rng, 300, 8))]
+    cases += [(_signed(rng, 2, 4), _signed(rng, 300, 4)), (_signed(rng, 2, 62), _signed(rng, 300, 62))]
+    for edge, _ in SLOT_EDGES:
+        run = [edge // 8] * 8
+        cases += [([edge], [1]), ([-edge, 3], [-1]), (run, [1] * 8), (run, [-1] * 8), ([-c for c in run], [1] * 8)]
+        cases.append(([(edge // 8) * rng.choice((-1, 1)) for _ in range(8)], [rng.choice((-1, 1)) for _ in range(8)]))
+    for _ in range(300):
+        bits = rng.choice((1, 4, 7, 8, 15, 20, 31, 40, 62, 64, 100))
+        cases.append((_signed(rng, rng.randint(1, 40), bits), _signed(rng, rng.randint(1, 40), bits)))
+    return cases
+
+
+@pytest.mark.parametrize("dense", [0, 8, math.inf], ids=["packed", "threshold", "loop"])
+def test_mul_lists_matches_schoolbook_on_both_routes(monkeypatch, dense):
+    monkeypatch.setattr(polys, "_DENSE", dense)
+    for a, b in _product_cases():
+        for x, y in ((a, b), (b, a)):
+            want = schoolbook_product(x, y)
+            assert polys._mul_lists(x, y) == want, (x, y)
+            assert polys._mul_lists(tuple(x), tuple(y)) == want, (x, y)
+
+
+def _packed_codes(monkeypatch, a, b):
+    """The struct codes with which `_mul_lists(a, b)` unpacks a product: one
+    code when it takes the packed route, none when it takes the loop."""
+    codes = []
+
+    class Spy:
+        error, pack = struct.error, staticmethod(struct.pack)
+
+        @staticmethod
+        def unpack(fmt, data):
+            codes.append(fmt[-1])
+            return struct.unpack(fmt, data)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(polys, "struct", Spy)
+        assert polys._mul_lists(a, b) == schoolbook_product(a, b)
+    return codes
+
+
+@pytest.mark.parametrize("edge,code", SLOT_EDGES)
+def test_mul_lists_packs_in_the_least_slot_that_holds_the_bound(monkeypatch, edge, code):
+    monkeypatch.setattr(polys, "_DENSE", 1)
+    assert _packed_codes(monkeypatch, [edge], [1]) == ([code] if code else [])
+    assert _packed_codes(monkeypatch, [-1] * 8, [edge // 8] * 8) == ([code] if code else [])
+
+
+def test_mul_lists_packs_only_dense_int_lists(monkeypatch):
+    dense = [(-1) ** i for i in range(polys._DENSE)]
+    sparse = [0, 5] * (polys._DENSE - 1) + [0]  # one nonzero entry short
+    half = [Fraction(1, 2)] + dense[1:]
+    assert _packed_codes(monkeypatch, dense, dense) == ["b"]
+    assert _packed_codes(monkeypatch, dense, sparse) == _packed_codes(monkeypatch, sparse, dense) == []
+    assert _packed_codes(monkeypatch, half, dense) == _packed_codes(monkeypatch, dense, half) == []
+
+
+def test_poly_products_of_fractions_above_the_dense_threshold():
+    # the packed route reads ints only: a Fraction anywhere sends the product
+    # to the loop, which is exact over Q
+    length = polys._DENSE + 4
+    ints = list(range(-length, 0))
+    halves = [Fraction(1, 2)] * length
+    thirds = [Fraction(1, 3)] * length
+    mixed = [Fraction(1, 2), 3] * (length // 2)
+    for a, b in [(halves, thirds), (mixed, ints), (ints, mixed), (mixed, mixed), (ints, ints[::-1])]:
+        assert Poly(a) * Poly(b) == Poly(schoolbook_product(a, b))
+    assert (Poly(halves) * Poly(thirds)).coeffs[length - 1] == Fraction(length, 6)
 
 
 @pytest.mark.parametrize(

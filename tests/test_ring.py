@@ -22,6 +22,7 @@ from cyclo.ring import (
 )
 from oracles import (
     _orbit_steps,
+    autocorrelation,
     cleared,
     conjugate_product_norm,
     divisor_scan_root_of_unity,
@@ -368,6 +369,22 @@ def test_norm_trace_galois_invariant():
             assert a.galois(k).norm() == a.norm()
             assert a.galois(k).trace() == a.trace()
 
+
+@pytest.mark.parametrize("dense", [0, 8, math.inf], ids=["packed", "threshold", "loop"])
+def test_autocorrelation_matches_per_lag_sums(monkeypatch, dense):
+    # odd and even n; windows of one coordinate, of n/2 and just above it (the
+    # first lag folded onto n - k), and of phi(n) at prime n; +-9 coordinates,
+    # 2^28 ones (64-bit slots up to 128 coordinates, the loop above), and
+    # 70-bit ones, which always take the loop
+    monkeypatch.setattr(polys, "_DENSE", dense)
+    rng = random.Random(27)
+    for n in (3, 4, 5, 8, 12, 15, 16, 47, 48, 101, 211):
+        for length in sorted({1, 2, n // 2, n // 2 + 1, n // 2 + 2, totient(n)} & set(range(1, n))):
+            for bound in (9, 2**28, 2**70):
+                a = [rng.randint(-bound, bound) for _ in range(length)]
+                a[0] = a[-1] = bound  # a window: nonzero at both ends
+                assert ring._autocorrelation(n, a) == autocorrelation(n, a), (n, a)
+                assert ring._autocorrelation(n, tuple(a)) == autocorrelation(n, a), (n, a)
 
 # -- inversion and units ----------------------------------------------------------
 

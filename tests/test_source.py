@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,15 @@ def test_every_exported_name_exists(path):
     name = "cyclo" if path.name == "__init__.py" else f"cyclo.{path.stem}"
     module = importlib.import_module(name)
     assert [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)] == []
+
+
+@pytest.mark.parametrize("path", [SRC / "__init__.py", *MODULES], ids=lambda path: path.name)
+def test_every_import_is_stdlib_or_cyclo(path):
+    # pyproject.toml declares `dependencies = []`
+    tops = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.partition(".")[0])
+    assert sorted(tops - sys.stdlib_module_names - {"cyclo"}) == []
