@@ -1,14 +1,15 @@
 """Exact Bernoulli numbers and the regularity criterion for primes.
 
 Bernoulli numbers use the B_1 = -1/2 convention.  The even ones come from
-the tangent numbers T_k = E_(2k-1) (Brent and Harvey, "Fast computation of
+the tangent numbers T_k (Brent and Harvey, "Fast computation of
 Bernoulli, Tangent and Secant numbers", 2011):
 
     B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)),
 
-and the zigzag numbers E_n come from the Seidel-Entringer boustrophedon by
-integer additions alone, in place.  One row of the triangle is kept beside
-an append-only memo table of B_0, B_2, B_4, ... as reduced numerators and
+and T_k comes from their tangent-number recurrence, each entry of their
+triangle divided by a factorial so that a step is one small multiple and one
+addition of integers, in place.  One column of it is kept beside an
+append-only memo table of B_0, B_2, B_4, ... as reduced numerators and
 denominators, plain ints; they grow together under a lock, so concurrent
 readers are safe.  B_1 = -1/2 and the odd B_m = 0 (m >= 3) are answered
 without the table.  Indices above MAX_INDEX are refused before any work.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import compress, count, repeat
 from math import gcd
 from operator import mod, not_
 
@@ -38,40 +39,39 @@ __all__ = [
     "vsc_denominator",
 ]
 
-# Largest accepted Bernoulli index: a cold table up to it took 4.5-6.3 s
-# in-process (6.3-7.6 s as a CLI run) and peaked at 37 MB on a 2-vCPU Xeon
-# VM with Python 3.11 (4000 took 8.7 s and 44 MB, 3000 took 3.4 s and
-# 31 MB).
+# Largest accepted Bernoulli index: a cold table up to it took 2.2-2.9 s
+# in-process (2.0-2.5 s as a CLI run) and peaked at 24 MB on a 2-vCPU Xeon VM
+# with Python 3.11 (4000: 3.2-5.1 s and 26 MB; 3000: 1.3-2.0 s and 21 MB).
 MAX_INDEX = 3500
 
 # _table[k] is the numerator of B_2k in lowest terms, with its sign, and
-# _denominators[k] its (positive) denominator; _row is row 2k of the
-# boustrophedon, [0, E_(2k-1), ..., E_2k, E_2k] for k >= 1.  The
-# denominator is appended first, so a reader that sees _table[k] without
-# the lock also sees _denominators[k].
+# _denominators[k] its (positive) denominator.  _column is column k of Brent
+# and Harvey's tangent triangle, V_1(k) = (k-1)! and V_i(k) = (k-i) * V_i(k-1)
+# + (k-i+2) * V_(i-1)(k), each entry divided by (k-i)!: [U_1(k), ..., U_k(k)]
+# with U_1(k) = 1, U_i(k) = U_i(k-1) + (k-i+2)(k-i+1) * U_(i-1)(k) and
+# U_k(k) = V_k(k) = T_k.  The denominator is appended first, so a reader that
+# sees _table[k] without the lock also sees _denominators[k].
 _table: list[int] = [1]
 _denominators: list[int] = [1]
-_row: list[int] = [1]
+_column: list[int] = []
 _lock = threading.Lock()
 
 
 def _extend_table(k: int) -> None:
     """Grow the table through B_2k, taking _lock only when it is shorter: each
-    step advances _row two rows, then appends the next B_2j."""
+    step advances _column to column j, then appends B_2j from T_j."""
     if k < len(_table):
         return
-    row = _row
+    column = _column
     with _lock:
         while k >= len(_table):
-            for _ in range(2):  # row n: 0, then the prefix sums of row n-1 read backwards
-                row.reverse()
-                row.insert(0, 0)
-                sums = accumulate(row)
-                for start in range(0, len(row), 256):  # in place: `sums` reads a block before it is written
-                    row[start : start + 256] = islice(sums, 256)
             j = len(_table)
+            u = 0
+            for i, c in enumerate(range(j + 1, 2, -1)):  # c = j-i+1 for U_(i+1)(j); U_0(j) = 0
+                u = column[i] = column[i] + c * (c - 1) * u
+            column.append(2 * u if column else 1)  # T_j = 2 * U_(j-1)(j), and T_1 = 1
             q = 4**j
-            num, den = 2 * j * row[1], q * (q - 1)
+            num, den = 2 * j * column[-1], q * (q - 1)
             g = gcd(num, den)
             _denominators.append(den // g)
             _table.append((num if j % 2 else -num) // g)

@@ -16,8 +16,9 @@ the rotations of conj(u), the Case I search by a binary-search p-th
 root per pair and by a z-pointer over every pair, its
 sieve by a mask looked up by x^p mod q for each x, its size cut by a
 pointer walked per chunk and its pruned count x by x, Bernoulli
-numbers by the defining recurrence over Fractions, irregular pairs by
-one Fraction numerator per index, and the text of a scalar by its type.
+numbers by the defining recurrence over Fractions and from the tangent
+numbers of the Seidel boustrophedon, irregular pairs by one Fraction
+numerator per index, and the text of a scalar by its type.
 They are deliberately slow and simple.
 """
 
@@ -26,6 +27,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 
 from cyclo.errors import InternalInvariantError
 from cyclo.fermat import SearchReport
@@ -598,7 +600,7 @@ def format_scalar(c):
     return f"{c.numerator}/{c.denominator}"
 
 
-# -- Bernoulli numbers by the defining recurrence, irregular pairs by numerators ---
+# -- Bernoulli numbers by the recurrence and the boustrophedon, irregular pairs --
 
 
 def recurrence_bernoulli(m: int, _table=[Fraction(1)]) -> Fraction:
@@ -616,6 +618,29 @@ def recurrence_bernoulli(m: int, _table=[Fraction(1)]) -> Fraction:
                 acc += math.comb(i + 1, j) * bj
         _table.append(-acc / (i + 1))
     return _table[m]
+
+
+def boustrophedon_tangents(n: int) -> list[int]:
+    """T_1, ..., T_n with T_k = E_(2k-1), the zigzag numbers read off the
+    Seidel-Entringer boustrophedon: row r is 0 followed by the prefix sums
+    of row r-1 read backwards, and its last entry is E_r."""
+    row, out = [1], []
+    for r in range(1, 2 * n):
+        row = list(accumulate([0] + row[::-1]))
+        if r % 2:
+            out.append(row[-1])
+    return out
+
+
+def tangent_bernoulli_table(k: int) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of B_0, B_2, ..., B_2k in lowest terms,
+    from B_2j = (-1)^(j-1) * 2j * T_j / (4^j * (4^j - 1)) over Fractions."""
+    nums, dens = [1], [1]
+    for j, t in enumerate(boustrophedon_tangents(k), 1):
+        b = Fraction((-1) ** (j - 1) * 2 * j * t, 4**j * (4**j - 1))
+        nums.append(b.numerator)
+        dens.append(b.denominator)
+    return nums, dens
 
 
 def fraction_irregular_pairs(p: int, B) -> list[tuple[int, int]]:

@@ -2,13 +2,14 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from cyclo import regularity
 from cyclo.ntheory import is_prime
 from cyclo.regularity import MAX_INDEX, bernoulli, irregular_pairs, is_regular_prime, vsc_denominator
-from oracles import fraction_irregular_pairs, recurrence_bernoulli
+from oracles import fraction_irregular_pairs, recurrence_bernoulli, tangent_bernoulli_table
 
 
 def mod_p(value: Fraction, p: int) -> int:
@@ -52,8 +53,14 @@ def test_vsc_denominator_rejects_odd_or_small():
 
 
 def test_von_staudt_clausen():
-    for m in range(2, 61, 2):
-        assert bernoulli(m).denominator == vsc_denominator(m)
+    for m in range(2, 1201, 2):
+        assert bernoulli(m).denominator == vsc_denominator(m), m
+
+
+def test_table_is_in_lowest_terms():
+    bernoulli(1200)
+    for k, (num, den) in enumerate(zip(regularity._table, regularity._denominators)):
+        assert den > 0 and gcd(num, den) == 1, k
 
 
 def test_even_denominators_squarefree():
@@ -147,11 +154,11 @@ def test_concurrent_readers_see_consistent_table():
 
 def _cold_table():
     """Drop every computed Bernoulli number past B_0 and rewind the
-    boustrophedon row."""
+    tangent column to column 0."""
     with regularity._lock:
         del regularity._table[1:]
         del regularity._denominators[1:]
-        regularity._row[:] = [1]
+        regularity._column.clear()
 
 
 @pytest.mark.parametrize("order", ["ascending", "one_jump"])
@@ -162,6 +169,19 @@ def test_bernoulli_matches_recurrence_oracle(order):
     for m in range(601):
         got, want = bernoulli(m), recurrence_bernoulli(m)
         assert got == want and type(got) is type(want), m
+
+
+@pytest.mark.parametrize("order", ["ascending_primes", "one_jump"])
+def test_table_matches_boustrophedon_oracle(order):
+    _cold_table()
+    if order == "ascending_primes":  # the regularity_scan workload's way: a few columns per call
+        for p in filter(is_prime, range(5, 1204)):
+            irregular_pairs(p)
+    bernoulli(1200)
+    nums, dens = tangent_bernoulli_table(600)
+    assert len(regularity._table) >= len(nums)
+    for k, (num, den) in enumerate(zip(nums, dens)):
+        assert (regularity._table[k], regularity._denominators[k]) == (num, den), 2 * k
 
 
 def test_irregular_pairs_never_call_bernoulli(monkeypatch):
@@ -201,6 +221,35 @@ def test_table_extends_safely_from_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * len(targets)
+
+
+def test_table_grows_in_small_steps_from_threads():
+    primes = list(filter(is_prime, range(5, 500)))
+    _cold_table()
+    serial = {p: irregular_pairs(p) for p in primes}
+    _cold_table()
+    workers = 4
+    results = [{} for _ in range(workers)]
+    start = threading.Barrier(workers, timeout=30)
+
+    def work(slot):
+        start.wait()
+        for p in primes[slot::workers]:  # ascending, interleaved with the other threads
+            results[slot][p] = irregular_pairs(p)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert {p: pairs for result in results for p, pairs in result.items()} == serial
+    assert len(regularity._column) == len(regularity._table) - 1
 
 
 def test_sizes_checked_before_work():
