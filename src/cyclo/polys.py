@@ -36,8 +36,6 @@ __all__ = [
     "cyclotomic_poly",
     "discr_prime_pow",
     "discriminant",
-    "parse_scalar",
-    "poly_from_str",
     "resultant",
     "resultant_cofactor",
 ]
@@ -407,7 +405,7 @@ def discr_prime_pow(p: int, k: int) -> int:
 _SCALAR_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
 
 
-def parse_scalar(text: str):
+def _parse_scalar(text: str):
     """An exact scalar from its `str` text: integers and p/q fractions only."""
     t = text.strip()
     if not _SCALAR_RE.fullmatch(t):
@@ -420,15 +418,10 @@ def _list_to_str(cs) -> str:
     return "[" + ",".join(map(str, cs)) + "]"
 
 
-def _list_from_str(text: str, kind: str) -> list:
-    """The scalars of the list text `[c0,c1,...]`, else a `kind` literal error."""
+def _list_from_str(text: str) -> list:
+    """The scalars of the list text `[c0,c1,...]` (inverse of `_list_to_str`)."""
     t = text.strip()
     if not (t.startswith("[") and t.endswith("]")):
-        raise ValueError(f"malformed {kind} literal: {text!r}")
+        raise ValueError(f"malformed list literal: {text!r}")
     body = t[1:-1].strip()
-    return [parse_scalar(tok) for tok in body.split(",")] if body else []
-
-
-def poly_from_str(text: str) -> Poly:
-    """Parse the coefficient-list text format (inverse of `str`)."""
-    return Poly(_list_from_str(text, "polynomial"))
+    return [_parse_scalar(tok) for tok in body.split(",")] if body else []

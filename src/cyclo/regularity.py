@@ -9,10 +9,12 @@ Bernoulli, Tangent and Secant numbers", 2011):
 and T_k comes from their tangent-number recurrence, each entry of their
 triangle divided by a factorial so that a step is one small multiple and one
 addition of integers, in place.  One column of it is kept beside an
-append-only memo table of B_0, B_2, B_4, ... as reduced numerators and
-denominators, plain ints; they grow together under a lock, so concurrent
-readers are safe.  B_1 = -1/2 and the odd B_m = 0 (m >= 3) are answered
-without the table.  Indices above MAX_INDEX are refused before any work.
+append-only memo table of the reduced numerators of B_0, B_2, B_4, ...,
+plain ints; both grow under a lock, and a reader sees a prefix of the table,
+so concurrent readers are safe.  The denominators are not stored: by von
+Staudt-Clausen that of B_m is `vsc_denominator(m)`.  B_1 = -1/2 and the odd
+B_m = 0 (m >= 3) are answered without the table.  Indices above MAX_INDEX
+are refused before any work.
 
 A prime p >= 5 is regular exactly when p divides no numerator among
 B_2, B_4, ..., B_(p-3); the even indices where it does are its irregular
@@ -44,15 +46,13 @@ __all__ = [
 # with Python 3.11 (4000: 3.2-5.1 s and 26 MB; 3000: 1.3-2.0 s and 21 MB).
 MAX_INDEX = 3500
 
-# _table[k] is the numerator of B_2k in lowest terms, with its sign, and
-# _denominators[k] its (positive) denominator.  _column is column k of Brent
+# _table[k] is the numerator of B_2k in lowest terms, with its sign; its
+# denominator is vsc_denominator(2k) for k >= 1.  _column is column k of Brent
 # and Harvey's tangent triangle, V_1(k) = (k-1)! and V_i(k) = (k-i) * V_i(k-1)
 # + (k-i+2) * V_(i-1)(k), each entry divided by (k-i)!: [U_1(k), ..., U_k(k)]
 # with U_1(k) = 1, U_i(k) = U_i(k-1) + (k-i+2)(k-i+1) * U_(i-1)(k) and
-# U_k(k) = V_k(k) = T_k.  The denominator is appended first, so a reader that
-# sees _table[k] without the lock also sees _denominators[k].
+# U_k(k) = V_k(k) = T_k.
 _table: list[int] = [1]
-_denominators: list[int] = [1]
 _column: list[int] = []
 _lock = threading.Lock()
 
@@ -71,10 +71,8 @@ def _extend_table(k: int) -> None:
                 u = column[i] = column[i] + c * (c - 1) * u
             column.append(2 * u if column else 1)  # T_j = 2 * U_(j-1)(j), and T_1 = 1
             q = 4**j
-            num, den = 2 * j * column[-1], q * (q - 1)
-            g = gcd(num, den)
-            _denominators.append(den // g)
-            _table.append((num if j % 2 else -num) // g)
+            num = 2 * j * column[-1]
+            _table.append((num if j % 2 else -num) // gcd(num, q * (q - 1)))
 
 
 def bernoulli(m: int) -> Fraction:
@@ -91,7 +89,7 @@ def bernoulli(m: int) -> Fraction:
         return Fraction(-1, 2) if m == 1 else Fraction(0)
     k = m // 2
     _extend_table(k)
-    return Fraction(_table[k], _denominators[k])
+    return Fraction(_table[k], vsc_denominator(m) if k else 1)
 
 
 def vsc_denominator(m: int) -> int:

@@ -31,9 +31,9 @@ tracks a cofactor along that subresultant sequence, which ends in an
 integer c = t * g modulo f: a^-1 = conj(a) * t(zeta + 1/zeta) / c, or t / c.
 
 Everything is immutable and every operation is a pure function; the only
-shared state is the per-conductor Psi_n tables, primes l = 1 (mod n) and
-lifted roots of unity here, and the Phi_n and product-form caches in
-`polys`, all idempotent.
+shared state is the `functools.cache` memos of the per-conductor Psi_n
+tables, primes l = 1 (mod n) and lifted roots of unity (one per level) here,
+and of Phi_n and its product form in `polys`.
 
 >>> z = CycElt.zeta(5)
 >>> (1 + z) * (1 + z**4)
@@ -254,29 +254,19 @@ def _prime_root(n):
     return ell, next(w for w in roots if all(pow(w, n // q, ell) != 1 for q in primes))
 
 
-# n -> (k, W, V): W = omega (mod l) with W^n = 1 (mod l^k), V = W^(n-1), at
-# the highest precision k lifted so far.  An entry is replaced whole, so a
-# thread reads an older or a newer one, and both are valid.
-_LIFTED_ROOTS = {}
-
-
-def _lifted_root(n, e):
-    """(W, W^-1) modulo l^k for some k >= e: the Newton (Hensel) lift of omega
-    of `_prime_root` on X^n - 1, whose derivative n X^(n-1) = n / W is a
-    unit mod l (l does not divide n).  Each step doubles the precision,
-    from the highest one lifted so far for this n."""
+@functools.cache
+def _lifted_root(n, j):
+    """(W, W^-1) modulo l^(2^j) with W^n = 1: omega of `_prime_root` at j = 0;
+    above it, one Newton (Hensel) step from level j - 1 for each, W on X^n - 1,
+    whose derivative n X^(n-1) = n / W is a unit mod l (l does not divide n),
+    and W^-1 on W X - 1."""
     ell, omega = _prime_root(n)
-    k, w, v = _LIFTED_ROOTS.get(n, (1, omega, pow(omega, n - 1, ell)))
-    if k < e:
-        steps = [e]
-        while steps[-1] > 2 * k:
-            steps.append((steps[-1] + 1) // 2)
-        for k in reversed(steps):
-            mod = ell**k
-            w = (w - (pow(w, n, mod) - 1) * w * pow(n, -1, mod)) % mod
-        v = pow(w, n - 1, mod)
-        _LIFTED_ROOTS[n] = (k, w, v)
-    return w, v
+    if not j:
+        return omega, pow(omega, n - 1, ell)
+    w, v = _lifted_root(n, j - 1)
+    mod = ell ** (1 << j)
+    w = (w - (pow(w, n, mod) - 1) * w * pow(n, -1, mod)) % mod
+    return w, v * (2 - w * v) % mod
 
 
 def _evaluated_norm(n, d, a, s):
@@ -299,7 +289,7 @@ def _evaluated_norm(n, d, a, s):
         mod2 //= ell2
         e -= 1
     mod = ell**e
-    w, v = _lifted_root(n, e)
+    w, v = _lifted_root(n, (e - 1).bit_length())
     s1 = (w + v) % mod
     sums = [2, s1]  # W^j + W^-j by s_(j+1) = s_1 * s_j - s_(j-1)
     for _ in range(n // 2 - 1):
@@ -609,7 +599,7 @@ def parse_literal(text: str) -> tuple[int, list]:
     coordinates.  Only the syntax is checked; CycElt(n, coeffs) checks n."""
     head, _, body = text.partition(":")
     try:
-        return int(head.strip()), _list_from_str(body, "element")
+        return int(head.strip()), _list_from_str(body)
     except ValueError as exc:
         raise ValueError(f"malformed element literal: {text!r}") from exc
 

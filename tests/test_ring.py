@@ -1007,7 +1007,7 @@ def test_evaluated_norm_checks_the_lifted_root(monkeypatch):
     lifted = ring._lifted_root
     ell, omega = ring._prime_root(15)
     # omega itself, not lifted past l; and a lifted root of order 5, not 15
-    for bad in (lambda n, e: (omega, pow(omega, -1, ell**e)), lambda n, e: tuple(x**3 for x in lifted(n, e))):
+    for bad in (lambda n, j: (omega, pow(omega, -1, ell ** 2**j)), lambda n, j: tuple(x**3 for x in lifted(n, j))):
         monkeypatch.setattr(ring, "_lifted_root", bad)
         with pytest.raises(InternalInvariantError, match="not a root of Phi_n"):
             a.norm()
@@ -1016,14 +1016,16 @@ def test_evaluated_norm_checks_the_lifted_root(monkeypatch):
 
 
 def test_lifted_root_is_a_root_of_phi_n_at_every_precision():
+    ring._lifted_root.cache_clear()
     for n in (3, 4, 12, 15, 47, 105, 211):
         ell, omega = ring._prime_root(n)
-        ring._LIFTED_ROOTS.pop(n, None)
-        for e in (1, 2, 3, 5, 9, 4, 40, 33):
-            mod = ell**e
-            w, v = ring._lifted_root(n, e)
-            assert w % ell == omega and w * v % mod == 1
+        for j in range(7):
+            mod = ell ** 2**j
+            w, v = ring._lifted_root(n, j)
+            assert 0 <= w < mod and w % ell == omega and w * v % mod == 1
             assert sum(c * pow(w, i, mod) for i, c in enumerate(cyclotomic_poly(n).coeffs)) % mod == 0
+            if j:  # Hensel: level j lifts level j - 1
+                assert (w - ring._lifted_root(n, j - 1)[0]) % ell ** 2 ** (j - 1) == 0
 
 
 # dense elements at 1009 and at 5460, whose slice list of n * (lags // 2 + 1)
@@ -1129,13 +1131,14 @@ def test_is_real_examples():
 def test_caches_are_thread_safe():
     rng = random.Random(61)
     elts = [rand_elt(rng, n, max_den=3) for n in (7, 9, 12, 15, 16, 20, 21)]
+    # a second element at 15 whose norm needs the lifted root at level 6, where the first needs level 4
+    elts.append(rand_elt(rng, 15, -(2**20), 2**20))
     assert all(_norm_route_of(a)[0] for a in elts)  # the norms take the evaluation
     serial = [(a.inverse(), a.trace(), a.norm(), is_root_of_unity(a)) for a in elts]
-    for cache in (ring._real_cyclotomic, ring._prime_root):
+    for cache in (ring._real_cyclotomic, ring._prime_root, ring._lifted_root):
         cache.cache_clear()
     cyclotomic_poly.cache_clear()
     polys._product_form.cache_clear()
-    ring._LIFTED_ROOTS.clear()
     results = [None] * 4
     start = threading.Barrier(len(results), timeout=30)
 
