@@ -14,6 +14,11 @@ user input).
 
 Rationals never appear as floats: scalar values serialize as strings like
 `-691/2730`, elements as `n:[c0,c1,...]`, polynomials as `[c0,c1,...]`.
+
+One table, `_COMMANDS`, defines the grammar.  An argv of the plain shape
+(exact command name, its positionals, then exact option names, none twice)
+is read straight from it; argparse is built from it only for every other
+argv: help, usage errors and the other spellings argparse accepts.
 """
 
 from __future__ import annotations
@@ -240,12 +245,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
-    parser = build_parser()
+def _read(argv):
+    """The Namespace `build_parser().parse_args(argv)` makes, read straight
+    from `_COMMANDS` when argv is an exact command name, its positionals,
+    then exact option names, each at most once, with one value not beginning
+    with `-` after --upto and --bound.  Any other argv, or a failed `type` or
+    `choices` check, gives None, and argparse reads it."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        handler, _, arguments = _COMMANDS[argv[0]]
+        values = {"command": argv[0], "handler": handler}
+        options = {"--json": _FLAG, "--quiet": _FLAG}
+        words = list(argv[1:])
+
+        def take(dest, spec):
+            if not words or words[0].startswith("-"):
+                return False
+            value = values[dest] = spec.get("type", str)(words.pop(0))
+            if value not in spec.get("choices", (value,)):
+                raise ValueError(value)
+            return True
+
+        for name, spec in arguments:
+            if name.startswith("-"):
+                options[name] = spec
+            elif not take(name, spec):
+                if spec.get("nargs") != "?":
+                    return None
+                values[name] = None
+        while words:
+            name = words.pop(0)
+            spec = options.pop(name)  # a repeated or unknown option is a KeyError
+            dest = name[2:].replace("-", "_")
+            if "action" in spec:
+                values[dest] = True
+            elif not take(dest, spec):
+                return None
+        for name, spec in options.items():  # the options not given
+            if "action" not in spec:
+                return None
+            values[name[2:].replace("-", "_")] = False
+        return argparse.Namespace(**values)
+    except Exception:  # argparse reports it, or raises it, as it always has
+        return None
+
+
+def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 1
     # Results such as discriminants run past Python's int-to-str digit limit;
     # it is lifted only after argv is parsed, so literals keep the default.
     digit_limit = sys.get_int_max_str_digits()

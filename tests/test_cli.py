@@ -216,6 +216,70 @@ def test_usage_errors_exit_1(capsys, argv):
     assert out.err != ""
 
 
+PAIRS_5_JSON = '{"command": "pairs", "exact": true, "inputs": {"p": 5}, "result": {"pairs": []}}\n'
+CASE1_5_B10 = "p=5 bound=10 candidates=55 pruned=8 solutions=0\n"
+
+# argv that `run` leaves to argparse, with the exit code, stdout and stderr
+# they had when argparse read every argv
+ARGPARSE_SPELLINGS = [
+    (["pairs", "5", "--js"], 0, PAIRS_5_JSON, ""),
+    (["case1", "5", "--bound=10"], 0, CASE1_5_B10, ""),
+    (["pairs", "5", "--json", "--json"], 0, PAIRS_5_JSON, ""),
+    (["pairs", "--", "5"], 0, "none\n", ""),
+    (["case1", "--bound", "10", "5"], 0, CASE1_5_B10, ""),
+    (
+        ["elt", "norm", "5:[1,1]", "--json", "5:[1]"],
+        1,
+        "",
+        "usage: cyclo [-h] command ...\ncyclo: error: unrecognized arguments: 5:[1]\n",
+    ),
+    (["pairs", "-3"], 2, "", "error: odd prime >= 5 required\n"),
+    (["regular", "--upto", "-1"], 2, "", "error: --upto must be >= 2\n"),
+    (["pairs", "5", "-h"], 0, (GOLDEN / "help_pairs.txt").read_text(), ""),
+    (
+        ["poly"],
+        1,
+        "",
+        "usage: cyclo poly [-h] [--json] [--quiet] n\ncyclo poly: error: the following arguments are required: n\n",
+    ),
+    (["disc", "3", "2", "1"], 1, "", "usage: cyclo [-h] command ...\ncyclo: error: unrecognized arguments: 1\n"),
+    (
+        ["poly", "x"],
+        1,
+        "",
+        "usage: cyclo poly [-h] [--json] [--quiet] n\ncyclo poly: error: argument n: invalid int value: 'x'\n",
+    ),
+    (
+        ["case1", "5"],
+        1,
+        "",
+        "usage: cyclo case1 [-h] [--json] [--quiet] --bound BOUND [--no-filter]\n"
+        "                   [--skip-regularity]\n"
+        "                   p\n"
+        "cyclo case1: error: the following arguments are required: --bound\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", ARGPARSE_SPELLINGS, ids=[" ".join(a) for a, *_ in ARGPARSE_SPELLINGS])
+def test_argparse_reads_other_spellings_as_before(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._read(argv) is None
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_main_reads_sys_argv_on_both_paths(capsys, monkeypatch):
+    parser, built = cli.build_parser(), []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or parser)
+    for argv, builds in [(["pairs", "37"], 0), (["pairs", "--", "37"], 1)]:
+        monkeypatch.setattr(sys, "argv", ["cyclo", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0 and len(built) == builds
+        assert capsys.readouterr() == ("(37,32)\n", "")
+
+
 # elt op -> (the elements it takes, its --json result key, the type of the value)
 ELT_SHAPES = {
     "add": (2, "element", str),

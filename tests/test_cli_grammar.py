@@ -1,9 +1,10 @@
-"""Property test of the CLI exit-code contract over generated argv.
+"""Property tests of the CLI over generated argv.
 
 Arguments come from the CLI grammar with small bounds, mixed with
 out-of-range, malformed and oversized values: every run must exit 0, 1 or
 2 without an exception escaping `run`, and `--json` on success must print
-exactly one JSON object.
+exactly one JSON object.  Every argv that `run` reads without argparse,
+in the given order or shuffled, must give argparse's Namespace.
 """
 
 import contextlib
@@ -13,8 +14,9 @@ import json
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from cyclo import cli  # noqa: E402
 from cyclo.cli import run  # noqa: E402
 
 HUGE = [10**9, 2**127 - 1, 10**30]
@@ -85,3 +87,27 @@ def test_exit_code_contract(argv):
         text = out.getvalue()
         assert text.endswith("\n") and text.count("\n") == 1
         assert isinstance(json.loads(text), dict)
+
+
+shuffled = argvs.flatmap(lambda argv: st.one_of(st.just(argv), st.permutations(argv)))
+
+
+def test_direct_read_matches_argparse():
+    accepted = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(shuffled)
+    @example(["elt", "nope", "5:[1,1]"])
+    @example(["case1", "5", "--bound", "10", "--no-filter", "--skip-regularity"])
+    def check(argv):
+        args = cli._read(argv)
+        accepted.append(args is not None)
+        if args is not None:
+            try:
+                expected = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                raise AssertionError(f"argparse refuses {argv}, which the direct read accepts") from None
+            assert vars(args) == vars(expected), argv
+
+    check()
+    assert any(accepted) and not all(accepted)  # both paths were taken
