@@ -28,7 +28,7 @@ import json
 import operator
 import sys
 from dataclasses import asdict
-from functools import cache
+from functools import cache, partial
 
 from .regularity import MAX_INDEX, bernoulli, irregular_pairs, is_regular_prime
 from .errors import InternalInvariantError
@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit one JSON object on stdout")
     common.add_argument("--quiet", action="store_true", help="essential output only")
 
-    parser = _Parser(prog="cyclo", description=__doc__.splitlines()[0])
+    column = partial(argparse.HelpFormatter, max_help_position=18)  # the help column 3.10-3.12 pick; 3.13 widens it
+    parser = _Parser(prog="cyclo", description=__doc__.splitlines()[0], formatter_class=column)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     for name, (handler, summary, arguments) in _COMMANDS.items():

@@ -9,16 +9,17 @@ Bernoulli, Tangent and Secant numbers", 2011):
 and T_k comes from their tangent-number recurrence, each entry of their
 triangle divided by a factorial so that a step is one small multiple and one
 addition of integers, in place.  One column of it is kept beside an
-append-only memo table of the reduced numerators of B_0, B_2, B_4, ...,
-plain ints; both grow under a lock, and a reader sees a prefix of the table,
-so concurrent readers are safe.  The denominators are not stored: by von
-Staudt-Clausen that of B_m is `vsc_denominator(m)`.  B_1 = -1/2 and the odd
-B_m = 0 (m >= 3) are answered without the table.  Indices above MAX_INDEX
-are refused before any work.
+append-only memo table of T_1, T_2, ..., plain ints; both grow under a lock,
+and a reader sees a prefix of the table, so concurrent readers are safe.
+`bernoulli` reduces B_m from T_(m/2) on each call, by one exact division:
+by von Staudt-Clausen its denominator is `vsc_denominator(m)`.  B_1 = -1/2
+and the odd B_m = 0 (m >= 3) are answered without the table.  Indices above
+MAX_INDEX are refused before any work.
 
 A prime p >= 5 is regular exactly when p divides no numerator among
 B_2, B_4, ..., B_(p-3); the even indices where it does are its irregular
-pairs.  The criterion scans the stored numerators directly.
+pairs.  There p divides neither 2k, 4^k nor the denominator of B_2k, so p
+divides the numerator exactly when v_p(T_k) > v_p(4^k - 1), read off _table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
-from math import gcd
 from operator import mod, not_
 
 from .ntheory import divisors, is_prime
@@ -41,38 +41,38 @@ __all__ = [
     "vsc_denominator",
 ]
 
-# Largest accepted Bernoulli index: a cold table up to it took 2.2-2.9 s
-# in-process (2.0-2.5 s as a CLI run) and peaked at 24 MB on a 2-vCPU Xeon VM
-# with Python 3.11 (4000: 3.2-5.1 s and 26 MB; 3000: 1.3-2.0 s and 21 MB).
+# Largest accepted Bernoulli index: a cold B_3500 took 1.3-1.7 s in-process
+# (1.4 s as a CLI run) and peaked at 25 MB on a 2-vCPU Xeon VM with Python
+# 3.11 (4000: 2.1-2.3 s and 28 MB; 3000: 0.9-1.5 s and 22 MB).
 MAX_INDEX = 3500
 
-# _table[k] is the numerator of B_2k in lowest terms, with its sign; its
-# denominator is vsc_denominator(2k) for k >= 1.  _column is column k of Brent
+# _table[k] is the tangent number T_k for k >= 1, and _table[0] = 1 (B_0) keeps
+# T_k at index k; |B_2k| = 2k * T_k / (4^k * (4^k - 1)).  _column is column k of Brent
 # and Harvey's tangent triangle, V_1(k) = (k-1)! and V_i(k) = (k-i) * V_i(k-1)
 # + (k-i+2) * V_(i-1)(k), each entry divided by (k-i)!: [U_1(k), ..., U_k(k)]
 # with U_1(k) = 1, U_i(k) = U_i(k-1) + (k-i+2)(k-i+1) * U_(i-1)(k) and
-# U_k(k) = V_k(k) = T_k.
+# U_k(k) = V_k(k) = T_k.  _weights[c] = c(c-1) for c <= j+1 at column j.
 _table: list[int] = [1]
 _column: list[int] = []
+_weights: list[int] = [0, 0]
 _lock = threading.Lock()
 
 
 def _extend_table(k: int) -> None:
-    """Grow the table through B_2k, taking _lock only when it is shorter: each
-    step advances _column to column j, then appends B_2j from T_j."""
+    """Grow the table through T_k, taking _lock only when it is shorter: each
+    step advances _column to column j, whose last entry is T_j."""
     if k < len(_table):
         return
-    column = _column
+    column, weights = _column, _weights
     with _lock:
         while k >= len(_table):
             j = len(_table)
+            weights[j + 1 :] = [(j + 1) * j]
             u = 0
-            for i, c in enumerate(range(j + 1, 2, -1)):  # c = j-i+1 for U_(i+1)(j); U_0(j) = 0
-                u = column[i] = column[i] + c * (c - 1) * u
+            for i, w in enumerate(weights[:2:-1]):  # c(c-1), c = j-i+1 for U_(i+1)(j); U_0(j) = 0
+                u = column[i] = column[i] + w * u
             column.append(2 * u if column else 1)  # T_j = 2 * U_(j-1)(j), and T_1 = 1
-            q = 4**j
-            num = 2 * j * column[-1]
-            _table.append((num if j % 2 else -num) // gcd(num, q * (q - 1)))
+            _table.append(column[-1])
 
 
 def bernoulli(m: int) -> Fraction:
@@ -87,9 +87,13 @@ def bernoulli(m: int) -> Fraction:
         raise ValueError(f"index must be <= {MAX_INDEX}")
     if m % 2:
         return Fraction(-1, 2) if m == 1 else Fraction(0)
+    if not m:
+        return Fraction(1)
     k = m // 2
     _extend_table(k)
-    return Fraction(_table[k], vsc_denominator(m) if k else 1)
+    q, d = 4**k, vsc_denominator(m)
+    num = m * d * _table[k] // (q * (q - 1))  # exact: |B_m| = num / d in lowest terms
+    return Fraction(num if k % 2 else -num, d)
 
 
 def vsc_denominator(m: int) -> int:
@@ -118,7 +122,12 @@ def irregular_pairs(p: int) -> list[tuple[int, int]]:
         raise ValueError("odd prime >= 5 required")
     _extend_table((p - 3) // 2)
     divisible = map(not_, map(mod, _table[1 : (p - 1) // 2], repeat(p)))
-    return [(p, k) for k in compress(count(2, 2), divisible)]
+    pairs = []
+    for k in compress(count(1), divisible):  # p | T_k; keep k when v_p(T_k) > v_p(4^k - 1) = v - 1
+        v = next(e for e in count(1) if pow(4, k, p**e) != 1)
+        if _table[k] % p**v == 0:
+            pairs.append((p, 2 * k))
+    return pairs
 
 
 @dataclass(frozen=True)

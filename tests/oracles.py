@@ -18,7 +18,8 @@ sieve by a mask looked up by x^p mod q for each x, its size cut by a
 pointer walked per chunk and its pruned count x by x, Bernoulli
 numbers by the defining recurrence over Fractions and from the tangent
 numbers of the Seidel boustrophedon, irregular pairs by one Fraction
-numerator per index, and the text of a scalar by its type.
+numerator per index, relative class numbers of Q(zeta_p) by the class
+number formula over the field norms, and the text of a scalar by its type.
 They are deliberately slow and simple.
 """
 
@@ -600,7 +601,7 @@ def format_scalar(c):
     return f"{c.numerator}/{c.denominator}"
 
 
-# -- Bernoulli numbers by the recurrence and the boustrophedon, irregular pairs --
+# -- Bernoulli numbers, irregular pairs and relative class numbers -----------------
 
 
 def recurrence_bernoulli(m: int, _table=[Fraction(1)]) -> Fraction:
@@ -647,6 +648,27 @@ def fraction_irregular_pairs(p: int, B) -> list[tuple[int, int]]:
     """Irregular pairs of the prime p >= 5 by reading the numerator of each
     B(k) = B_k, one Fraction per even index k = 2..p-3."""
     return [(p, k) for k in range(2, p - 2, 2) if B(k).numerator % p == 0]
+
+
+def relative_class_number(p: int) -> int:
+    """h^-_p of Q(zeta_p) for a prime p >= 5, from the class number formula
+    h^- = 2p * prod over the odd characters chi of (-B_(1,chi) / 2) (Washington,
+    GTM 83, Thm 4.17) and the library's norms.  With n = p - 1, g a primitive
+    root mod p, T(X) = sum_(i<n) (g^i mod p) X^i and chi(g) = zeta_n^k, k odd,
+    p * B_(1,chi) = T(zeta_n^k).  The odd k with gcd(k, n) = d (odd) give the
+    conjugates of T(zeta_m), m = n / d, so the product over chi is one norm
+    N(T mod X^m - 1) in Q(zeta_m) per odd divisor d of n."""
+    n = p - 1
+    g = next(g for g in range(2, p) if all(pow(g, n // q, p) != 1 for q, _ in factorize(n)))
+    coeffs = [pow(g, i, p) for i in range(n)]
+    product = 1
+    for d in divisors(n):
+        if d % 2:
+            m = n // d
+            product *= CycElt(m, [sum(coeffs[r::m]) for r in range(m)]).norm()
+    h, rest = divmod(2 * p * product, (-2 * p) ** (n // 2))
+    assert not rest, "the class number formula left a remainder"
+    return h
 
 
 def rand_elt(rng, n, lo=-9, hi=9, max_den=1):

@@ -9,7 +9,13 @@ import pytest
 from cyclo import regularity
 from cyclo.ntheory import is_prime
 from cyclo.regularity import MAX_INDEX, bernoulli, irregular_pairs, is_regular_prime, vsc_denominator
-from oracles import fraction_irregular_pairs, recurrence_bernoulli, tangent_bernoulli_table
+from oracles import (
+    boustrophedon_tangents,
+    fraction_irregular_pairs,
+    recurrence_bernoulli,
+    relative_class_number,
+    tangent_bernoulli_table,
+)
 
 
 def mod_p(value: Fraction, p: int) -> int:
@@ -57,10 +63,16 @@ def test_von_staudt_clausen():
         assert bernoulli(m).denominator == vsc_denominator(m), m
 
 
-def test_table_is_in_lowest_terms():
-    bernoulli(1200)
-    for k, num in enumerate(regularity._table[1:], 1):
-        assert gcd(num, vsc_denominator(2 * k)) == 1, k
+def test_bernoulli_is_in_lowest_terms_over_the_table():
+    for m in range(2, 1201, 2):
+        b, k, q = bernoulli(m), m // 2, 4 ** (m // 2)
+        assert gcd(b.numerator, b.denominator) == 1 and b.denominator == vsc_denominator(m), m
+        assert b * q * (q - 1) == (-1) ** (k - 1) * m * regularity._table[k], m  # the table holds T_k
+
+
+def test_table_holds_tangent_numbers():
+    bernoulli(14)
+    assert regularity._table[:8] == [1, 1, 2, 16, 272, 7936, 353792, 22368256]  # B_0's 1, then OEIS A000182
 
 
 def test_even_denominators_squarefree():
@@ -100,10 +112,44 @@ def test_irregular_pairs_match_fraction_numerators_up_to_the_cap():
         assert irregular_pairs(p) == fraction_irregular_pairs(p, table.__getitem__), p
 
 
+def _valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def test_wieferich_prime_needs_the_full_valuation():
+    p = 1093  # 2^(p-1) = 1 (mod p^2): p^2 divides 4^k - 1 at k = 182 and 364
+    bernoulli(p - 3)
+    for k in (182, 364):
+        assert _valuation(regularity._table[k], p) == _valuation(4**k - 1, p) == 2, k
+        assert bernoulli(2 * k).numerator % p, k
+    assert irregular_pairs(p) == fraction_irregular_pairs(p, bernoulli)
+
+
 def test_irregular_pairs_are_genuine_divisibilities():
     for p, k in irregular_pairs(37) + irregular_pairs(59) + irregular_pairs(67):
         assert k % 2 == 0 and 2 <= k <= p - 3
         assert bernoulli(k).numerator % p == 0
+
+
+# h^-_p for the primes 5 <= p <= 67 (Washington, Introduction to Cyclotomic Fields, GTM 83, tables)
+RELATIVE_CLASS_NUMBERS = {
+    **dict.fromkeys((5, 7, 11, 13, 17, 19), 1),
+    **{23: 3, 29: 8, 31: 9, 37: 37, 41: 121, 43: 211, 47: 695, 53: 4889, 59: 41241, 61: 76301, 67: 853513},
+}
+
+
+@pytest.mark.parametrize("p,h", RELATIVE_CLASS_NUMBERS.items())
+def test_relative_class_numbers(p, h):
+    assert relative_class_number(p) == h
+
+
+def test_irregular_exactly_when_p_divides_the_relative_class_number():
+    for p in filter(is_prime, range(5, 450)):  # Kummer: p | h_p exactly when p | h^-_p
+        assert (relative_class_number(p) % p == 0) == bool(irregular_pairs(p)), p
 
 
 def test_irregular_pairs_rejects_bad_input():
@@ -177,10 +223,11 @@ def test_table_matches_boustrophedon_oracle(order):
         for p in filter(is_prime, range(5, 1204)):
             irregular_pairs(p)
     bernoulli(1200)
+    assert regularity._table == [1, *boustrophedon_tangents(600)]
     nums, dens = tangent_bernoulli_table(600)
-    assert len(regularity._table) >= len(nums)
     for k, (num, den) in enumerate(zip(nums, dens)):  # the oracle reduces its own Fractions
-        assert (regularity._table[k], vsc_denominator(2 * k) if k else 1) == (num, den), 2 * k
+        b = bernoulli(2 * k)
+        assert (b.numerator, b.denominator) == (num, den), 2 * k
 
 
 def test_irregular_pairs_never_call_bernoulli(monkeypatch):
